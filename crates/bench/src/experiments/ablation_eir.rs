@@ -69,7 +69,7 @@ pub fn run(cfg: &ExpConfig) -> Result<AblationEirResult, CmError> {
     for step in [5usize, 10, 20, 40] {
         let mut config = base;
         config.importance.prune_step = step;
-        let mut miner = CounterMiner::new(config);
+        let miner = CounterMiner::new(config);
         let report = miner.analyze(Benchmark::Wordcount)?;
         prune_steps.push(AblationPoint {
             value: step,
@@ -82,7 +82,7 @@ pub fn run(cfg: &ExpConfig) -> Result<AblationEirResult, CmError> {
     for window in [1usize, 3, 6] {
         let mut config = base;
         config.aggregation_window = window;
-        let mut miner = CounterMiner::new(config);
+        let miner = CounterMiner::new(config);
         let report = miner.analyze(Benchmark::Wordcount)?;
         windows.push(AblationPoint {
             value: window,

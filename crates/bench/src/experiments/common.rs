@@ -190,7 +190,7 @@ pub(crate) fn analyze_benchmarks(
     }
     let mut reports = Vec::with_capacity(benchmarks.len());
     for &b in benchmarks {
-        let mut miner = CounterMiner::new(miner_config(cfg));
+        let miner = CounterMiner::new(miner_config(cfg));
         reports.push(miner.analyze(b)?);
     }
     let reports = Arc::new(reports);

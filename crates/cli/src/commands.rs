@@ -1,7 +1,7 @@
 //! CLI subcommand implementations.
 
 use crate::args::{ArgError, Args};
-use cm_events::{EventCatalog, SampleMode};
+use cm_events::{EventCatalog, RunRecord, SampleMode};
 use cm_load::{
     chaos_sweep, prepare_store, run_workload, saturation_sweep, LoadReport, LoopMode, RunMetrics,
     Workload as LoadWorkload,
@@ -9,7 +9,7 @@ use cm_load::{
 use cm_ml::{SgbrtConfig, Trainer};
 use cm_serve::{Pending, Request, Response, ServeConfig, Server, ServerHandle};
 use cm_sim::{Benchmark, PmuConfig, SparkParam, SparkStudy, Workload, ALL_BENCHMARKS};
-use cm_store::{Database, SeriesKey, Store};
+use cm_store::{RunId, SeriesKey, Store};
 use counterminer::case_study::{
     rank_param_event_interactions, sweep_parameter, ProfilingCostModel,
 };
@@ -33,15 +33,18 @@ COMMANDS:
   catalog [--abbrev ISF]            list the 229-event Haswell-E catalog,
                                     or look one event up
   benchmarks                        list the sixteen simulated benchmarks
-  collect <benchmark> --out DIR     profile a benchmark on the simulated
-        [--runs N] [--events N]     PMU and persist the two-level store
-        [--ocoe] [--seed S]
-  show <DIR> [--program NAME]       summarize a persisted store
-  clean <DIR> --out DIR2            clean every multiplexed run of a
-                                    store, writing the cleaned store
-  import <FILE> --out DIR           parse `perf stat -I -x,` interval
-        [--program NAME] [--sep C]  output into the two-level store
-  inspect <DIR> --program NAME      textual histogram and statistics of
+  collect <benchmark> --out FILE    profile a benchmark on the simulated
+        [--runs N] [--events N]     PMU and append the runs to the
+        [--ocoe] [--seed S]         columnar store FILE (created if
+                                    missing; a run already there is an
+                                    error)
+  show <FILE> [--program NAME]      summarize the runs of a store
+  clean <FILE> --out FILE2          clean every multiplexed run of a
+                                    store, appending the cleaned runs
+                                    to the store FILE2
+  import <PERF> --out FILE          parse `perf stat -I -x,` interval
+        [--program NAME] [--sep C]  output into the store FILE
+  inspect <FILE> --program NAME     textual histogram and statistics of
         --event ABBR [--run N]      one stored event series
         [--bins B]
   error <benchmark> [--events N]    measure the MLPX error of
@@ -214,12 +217,49 @@ pub fn benchmarks() -> CmdResult {
     Ok(())
 }
 
-/// `counterminer collect <benchmark> --out DIR [...]`
+/// A read command was pointed at a store file that does not exist.
+#[derive(Debug)]
+struct NoSuchStore(String);
+
+impl std::fmt::Display for NoSuchStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "no such store: {}", self.0)
+    }
+}
+
+impl Error for NoSuchStore {}
+
+/// Opens a store that a command reads. [`Store::open`] treats a missing
+/// file as an empty store, which the first commit creates; a reader
+/// must instead reject a path that names no file.
+fn open_existing(path: &str) -> Result<Store, Box<dyn Error>> {
+    if !Path::new(path).exists() {
+        return Err(NoSuchStore(path.to_string()).into());
+    }
+    Ok(Store::open(path)?)
+}
+
+/// Stages `runs` into the store at `out` (created if missing) and
+/// commits them in one atomic write. A run already in the store is
+/// [`cm_store::StoreError::DuplicateRun`] and nothing is written.
+fn append_runs<'a>(
+    out: &str,
+    runs: impl IntoIterator<Item = &'a RunRecord>,
+) -> Result<(), Box<dyn Error>> {
+    let mut store = Store::open(out)?;
+    for run in runs {
+        store.append_run(run)?;
+    }
+    store.commit()?;
+    Ok(())
+}
+
+/// `counterminer collect <benchmark> --out FILE [...]`
 pub fn collect(args: &Args) -> CmdResult {
     let benchmark = benchmark_by_name(required_positional(args, 1, "benchmark name")?)?;
     let out = args
         .get("out")
-        .ok_or_else(|| ArgError("--out DIR is required".into()))?;
+        .ok_or_else(|| ArgError("--out FILE is required".into()))?;
     let runs: usize = args.get_num("runs", 2)?;
     let n_events: usize = args.get_num("events", 10)?;
     let seed: u64 = args.get_num("seed", 0)?;
@@ -234,25 +274,26 @@ pub fn collect(args: &Args) -> CmdResult {
     let events = workload.top_event_ids(&catalog, n_events);
     let pmu = PmuConfig::default();
     let collected = collector::collect_runs(&workload, &events, mode, runs, &pmu, seed);
-
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &collected)?;
-    db.save_to_dir(Path::new(out))?;
+    append_runs(out, collected.iter().map(|run| &run.record))?;
     println!("collected {runs} {mode} run(s) of {benchmark} measuring {n_events} events -> {out}");
     Ok(())
 }
 
-/// `counterminer show <DIR> [--program NAME]`
+/// `counterminer show <FILE> [--program NAME]`
 pub fn show(args: &Args) -> CmdResult {
-    let dir = required_positional(args, 1, "store directory")?;
-    let db = Database::load_from_dir(Path::new(dir))?;
+    let path = required_positional(args, 1, "store file")?;
+    let store = open_existing(path)?;
     let programs = match args.get("program") {
         Some(p) => vec![p.to_string()],
-        None => db.programs(),
+        None => {
+            let mut names: Vec<String> = store.run_ids().map(|id| id.program.clone()).collect();
+            names.dedup();
+            names
+        }
     };
-    println!("store {dir}: {} run(s)", db.run_count());
+    println!("store {path}: {} run(s)", store.run_ids().count());
     for program in programs {
-        match db.summary(&program) {
+        match store.summary(&program) {
             Some(summary) => {
                 println!(
                     "  {program}: {} runs, {} events, exec times {:?}",
@@ -274,41 +315,41 @@ pub fn show(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `counterminer clean <DIR> --out DIR2`
+/// `counterminer clean <FILE> --out FILE2`
 pub fn clean(args: &Args) -> CmdResult {
-    let dir = required_positional(args, 1, "store directory")?;
+    let path = required_positional(args, 1, "store file")?;
     let out = args
         .get("out")
-        .ok_or_else(|| ArgError("--out DIR is required".into()))?;
-    let db = Database::load_from_dir(Path::new(dir))?;
+        .ok_or_else(|| ArgError("--out FILE is required".into()))?;
+    let store = open_existing(path)?;
     let cleaner = DataCleaner::default();
-    let mut cleaned_db = Database::new();
     let mut outliers = 0usize;
     let mut missing = 0usize;
-    for (key, run) in db.iter() {
-        let mut run = run.clone();
-        if key.mode == SampleMode::Mlpx {
+    let mut cleaned = Vec::new();
+    for id in store.run_ids() {
+        let mut run = store.read_run(id)?;
+        if id.mode == SampleMode::Mlpx {
             for report in cleaner.clean_run(&mut run)? {
                 outliers += report.outliers_replaced;
                 missing += report.missing_filled;
             }
         }
-        cleaned_db.insert_run(run)?;
+        cleaned.push(run);
     }
-    cleaned_db.save_to_dir(Path::new(out))?;
+    append_runs(out, &cleaned)?;
     println!(
         "cleaned {} run(s): {outliers} outliers replaced, {missing} missing values filled -> {out}",
-        db.run_count()
+        cleaned.len()
     );
     Ok(())
 }
 
-/// `counterminer import <FILE> --out DIR [...]`
+/// `counterminer import <FILE> --out FILE2 [...]`
 pub fn import(args: &Args) -> CmdResult {
     let file = required_positional(args, 1, "perf output file")?;
     let out = args
         .get("out")
-        .ok_or_else(|| ArgError("--out DIR is required".into()))?;
+        .ok_or_else(|| ArgError("--out FILE is required".into()))?;
     let program = args.get("program").unwrap_or("imported");
     let sep = args
         .get("sep")
@@ -326,16 +367,14 @@ pub fn import(args: &Args) -> CmdResult {
     if !report.unknown_events.is_empty() {
         println!("unmatched event names: {:?}", report.unknown_events);
     }
-    let mut db = Database::new();
-    db.insert_run(report.run)?;
-    db.save_to_dir(Path::new(out))?;
+    append_runs(out, [&report.run])?;
     println!("stored -> {out}");
     Ok(())
 }
 
-/// `counterminer inspect <DIR> --program NAME --event ABBR [...]`
+/// `counterminer inspect <FILE> --program NAME --event ABBR [...]`
 pub fn inspect(args: &Args) -> CmdResult {
-    let dir = required_positional(args, 1, "store directory")?;
+    let path = required_positional(args, 1, "store file")?;
     let program = args
         .get("program")
         .ok_or_else(|| ArgError("--program NAME is required".into()))?;
@@ -349,18 +388,23 @@ pub fn inspect(args: &Args) -> CmdResult {
     let info = catalog
         .by_abbrev(abbrev)
         .ok_or_else(|| ArgError(format!("no event with abbreviation {abbrev:?}")))?;
-    let db = Database::load_from_dir(Path::new(dir))?;
-    let run = db
-        .run(program, run_index, SampleMode::Mlpx)
-        .or_else(|| db.run(program, run_index, SampleMode::Ocoe))
+    let store = open_existing(path)?;
+    let mode = [SampleMode::Mlpx, SampleMode::Ocoe]
+        .into_iter()
+        .find(|&mode| {
+            store
+                .exec_time_secs(&RunId::new(program, run_index, mode))
+                .is_some()
+        })
         .ok_or_else(|| ArgError(format!("run {run_index} of {program:?} not in store")))?;
-    let series = run
-        .series(info.id())
-        .ok_or_else(|| ArgError(format!("{abbrev} was not measured in that run")))?;
+    let key = SeriesKey::new(program, run_index, mode, info.id());
+    if !store.contains_series(&key) {
+        return Err(ArgError(format!("{abbrev} was not measured in that run")).into());
+    }
+    let series = store.read_series_ts(&key)?;
 
     println!(
-        "{program} run {run_index} ({}) — {} ({})",
-        run.mode(),
+        "{program} run {run_index} ({mode}) — {} ({})",
         info.name(),
         info.description()
     );
@@ -383,7 +427,7 @@ pub fn inspect(args: &Args) -> CmdResult {
             edges[i + 1]
         );
     }
-    if let Some(stats) = db.exec_time_stats(program) {
+    if let Some(stats) = store.exec_time_stats(program) {
         println!(
             "exec time over {} run(s): min {:.1}s mean {:.1}s max {:.1}s",
             stats.runs, stats.min, stats.mean, stats.max
@@ -469,7 +513,7 @@ pub fn analyze(args: &Args) -> CmdResult {
                 .map_err(|_| ArgError(format!("--chaos-seed needs a u64, got {raw:?}")))?,
         ),
     };
-    let mut miner = CounterMiner::new(miner_config(args)?);
+    let miner = CounterMiner::new(miner_config(args)?);
     let report = match (args.get("store"), chaos_seed) {
         (None, Some(_)) => {
             return Err(ArgError("--chaos-seed requires --store FILE".into()).into());
@@ -644,7 +688,7 @@ fn ingest_follow(args: &Args, benchmark: Benchmark, path: &str) -> CmdResult {
 /// `counterminer query <FILE> [--program NAME] [--run N] [--event ABBR]`
 pub fn query(args: &Args) -> CmdResult {
     let path = required_positional(args, 1, "store file")?;
-    let store = Store::open(Path::new(path))?;
+    let store = open_existing(path)?;
     let Some(program) = args.get("program") else {
         // No program: list what the store holds.
         println!("store {path}: {} series", store.series_count());
@@ -697,7 +741,7 @@ pub fn query(args: &Args) -> CmdResult {
 /// `counterminer store-info <FILE> [--json]`
 pub fn store_info(args: &Args) -> CmdResult {
     let path = required_positional(args, 1, "store file")?;
-    let store = Store::open(Path::new(path))?;
+    let store = open_existing(path)?;
     let info = store.info();
     // Snapshot cleaner kinds: which estimator reconstructed each
     // persisted benchmark snapshot (the fingerprint covers it, so a
@@ -1324,6 +1368,22 @@ mod tests {
         assert!(query(&parse(&["query"])).is_err());
         // query with --program but no --event.
         assert!(query(&parse(&["query", "/tmp/x", "--program", "wc"])).is_err());
+        // Read commands on a missing store file: a typed error, never an
+        // empty store.
+        let no_store = |r: CmdResult| r.is_err_and(|e| e.is::<NoSuchStore>());
+        let gone = "/definitely/not/here";
+        assert!(no_store(query(&parse(&["query", gone]))));
+        assert!(no_store(store_info(&parse(&["store-info", gone]))));
+        assert!(no_store(show(&parse(&["show", gone]))));
+        assert!(no_store(clean(&parse(&["clean", gone, "--out", "/tmp/x"]))));
+        assert!(no_store(inspect(&parse(&[
+            "inspect",
+            gone,
+            "--program",
+            "wc",
+            "--event",
+            "ISF"
+        ]))));
         // store-info without a store file.
         assert!(store_info(&parse(&["store-info"])).is_err());
         // serve without --store.
@@ -1342,6 +1402,56 @@ mod tests {
             "sideways",
         ]))
         .is_err());
+    }
+
+    /// `collect → show → clean → inspect` on `.cmstore` files, and a
+    /// second collect of the same runs is the store's typed error.
+    #[test]
+    fn store_commands_round_trip() {
+        let dir = std::env::temp_dir().join(format!("cm_cli_roundtrip_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("raw.cmstore").to_string_lossy().into_owned();
+        let cleaned = dir.join("clean.cmstore").to_string_lossy().into_owned();
+        let parse = |tokens: &[&str]| {
+            crate::args::Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        };
+
+        let collect_args = [
+            "collect", "sort", "--out", &raw, "--runs", "2", "--events", "6",
+        ];
+        collect(&parse(&collect_args)).unwrap();
+        let err = collect(&parse(&collect_args)).unwrap_err();
+        assert!(
+            matches!(
+                err.downcast_ref::<cm_store::StoreError>(),
+                Some(cm_store::StoreError::DuplicateRun { .. })
+            ),
+            "unexpected error: {err}"
+        );
+        show(&parse(&["show", &raw])).unwrap();
+        clean(&parse(&["clean", &raw, "--out", &cleaned])).unwrap();
+
+        let store = Store::open(&cleaned).unwrap();
+        assert_eq!(store.run_ids().count(), 2);
+        assert_eq!(store.summary("sort").unwrap().events.len(), 6);
+        let catalog = EventCatalog::haswell();
+        let event = Workload::new(Benchmark::Sort, &catalog)
+            .top_event_ids(&catalog, 6)
+            .iter()
+            .next()
+            .unwrap();
+        let abbrev = catalog.info(event).abbrev();
+        inspect(&parse(&[
+            "inspect",
+            &cleaned,
+            "--program",
+            "sort",
+            "--event",
+            abbrev,
+        ]))
+        .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `counterminer` — command-line interface to the CounterMiner pipeline.
 //!
 //! Run `counterminer help` for usage. Everything operates on the
-//! simulated Haswell-E PMU and the two-level text store; see the
+//! simulated Haswell-E PMU and the columnar `.cmstore` store; see the
 //! repository README for the library API.
 
 mod args;

@@ -4,11 +4,9 @@
 mod kind;
 mod missing;
 mod outlier;
-mod streaming;
 mod threshold;
 
 pub use kind::CleanerKind;
-pub use streaming::{StreamedSample, StreamingCleaner};
 pub use threshold::{choose_n, coverage_table, N_CANDIDATES};
 
 use crate::CmError;

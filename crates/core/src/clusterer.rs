@@ -289,9 +289,10 @@ impl CounterMiner {
         }
         let (mut signatures, mut probe_signatures) = {
             let _s = cm_obs::span!("signatures");
-            let raw = cm_par::map(&corpus, |&(_, run)| run_signature(run, &events));
-            let raw_probes = cm_par::map(&probes, |&(_, run)| run_signature(run, &events));
-            normalize_signatures(raw, raw_probes)?
+            let mut raw = cm_par::map(&corpus, |&(_, run)| run_signature(run, &events));
+            let mut raw_probes = cm_par::map(&probes, |&(_, run)| run_signature(run, &events));
+            normalize_signatures(&mut raw, &mut raw_probes)?;
+            (raw, raw_probes)
         };
         // Down-weight the per-run coefficient-of-variation dimensions:
         // a CV estimated from one run's few intervals is noisy, while
@@ -453,16 +454,13 @@ fn euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Normalizes each signature dimension robustly: centre on the corpus
+/// Normalizes each signature dimension in place, robustly: centre on the corpus
 /// median, scale by the corpus IQR (falling back to the standard
 /// deviation for near-constant dimensions; dimensions constant across
 /// the corpus drop to zero). `probes` are transformed with the *same*
 /// corpus statistics — injected anomalies must not skew the scale that
 /// is supposed to expose them.
-fn normalize_signatures(
-    mut corpus: Vec<Vec<f64>>,
-    mut probes: Vec<Vec<f64>>,
-) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), CmError> {
+fn normalize_signatures(corpus: &mut [Vec<f64>], probes: &mut [Vec<f64>]) -> Result<(), CmError> {
     let dims = corpus.first().map_or(0, Vec::len);
     for d in 0..dims {
         let column: Vec<f64> = corpus.iter().map(|s| s[d]).collect();
@@ -482,7 +480,7 @@ fn normalize_signatures(
             };
         }
     }
-    Ok((corpus, probes))
+    Ok(())
 }
 
 /// Per-cluster anomaly thresholds: `median + sigmas * 1.4826 * MAD` of

@@ -1,12 +1,10 @@
-//! The data collector (Section III-A): drives the (simulated) profiler,
-//! stores runs in the two-level database, and assembles
-//! model-training datasets from measured runs.
+//! The data collector (Section III-A): drives the (simulated) profiler
+//! and assembles model-training datasets from measured runs.
 
 use crate::{CmError, DataCleaner};
 use cm_events::{EventId, EventSet, SampleMode};
 use cm_ml::Dataset;
 use cm_sim::{PmuConfig, SimRun, Workload};
-use cm_store::Database;
 
 /// Collects `n_runs` runs of `workload` measuring `events` in the given
 /// mode. Runs are simulated in parallel; run `i` uses run index `i`, so
@@ -21,18 +19,6 @@ pub fn collect_runs(
 ) -> Vec<SimRun> {
     cm_obs::counter_add("collector.runs", n_runs as u64);
     pmu.simulate_batch(workload, events, mode, n_runs, seed)
-}
-
-/// Stores measured runs into the two-level database.
-///
-/// # Errors
-///
-/// Returns a store error if a run key collides with an existing one.
-pub fn store_runs(db: &mut Database, runs: &[SimRun]) -> Result<(), CmError> {
-    for run in runs {
-        db.insert_run(run.record.clone())?;
-    }
-    Ok(())
 }
 
 /// Builds a supervised dataset from measured runs: one row per sampling
@@ -178,19 +164,6 @@ mod tests {
         let c = EventCatalog::haswell();
         let w = Workload::new(Benchmark::Wordcount, &c);
         (c, w, PmuConfig::default())
-    }
-
-    #[test]
-    fn collect_and_store() {
-        let (c, w, pmu) = setup();
-        let events = w.top_event_ids(&c, 6);
-        let runs = collect_runs(&w, &events, SampleMode::Mlpx, 2, &pmu, 1);
-        assert_eq!(runs.len(), 2);
-        let mut db = Database::new();
-        store_runs(&mut db, &runs).unwrap();
-        assert_eq!(db.run_count(), 2);
-        // Same keys again collide.
-        assert!(store_runs(&mut db, &runs).is_err());
     }
 
     #[test]

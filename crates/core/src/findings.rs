@@ -143,7 +143,7 @@ mod tests {
         benchmarks
             .iter()
             .map(|&b| {
-                let mut miner = CounterMiner::new(MinerConfig {
+                let miner = CounterMiner::new(MinerConfig {
                     runs_per_benchmark: 1,
                     events_to_measure: Some(20),
                     importance: ImportanceConfig {

@@ -71,8 +71,8 @@ pub use clusterer::{ClusterConfig, ClusterReport, ClusteredRun};
 
 pub use cleaner::{
     choose_n, coverage_table, CleanReport, CleanerConfig, CleanerKind, DataCleaner, Reconstruction,
-    ReconstructionSource, SeriesDistribution, SeriesUncertainty, StreamedSample, StreamingCleaner,
-    N_CANDIDATES, VARIANCE_CALIBRATION,
+    ReconstructionSource, SeriesDistribution, SeriesUncertainty, N_CANDIDATES,
+    VARIANCE_CALIBRATION,
 };
 pub use errors::CmError;
 pub use importance::{

@@ -1,6 +1,6 @@
 //! The end-to-end CounterMiner pipeline (Fig. 4): data collector →
-//! two-level store → data cleaner → importance ranker → interaction
-//! ranker.
+//! (optionally) the two-level columnar store → data cleaner → importance
+//! ranker → interaction ranker.
 
 use crate::{
     collector, snapshot, CleanerConfig, CleanerKind, CmError, DataCleaner, EirResult,
@@ -8,7 +8,7 @@ use crate::{
 };
 use cm_events::{EventCatalog, EventId, RunRecord, SampleMode};
 use cm_sim::{Benchmark, PmuConfig, SimRun, Workload};
-use cm_store::{Database, Store};
+use cm_store::Store;
 use std::collections::BTreeMap;
 
 /// Pipeline configuration.
@@ -106,8 +106,10 @@ pub struct IngestSummary {
     pub missing_filled: usize,
 }
 
-/// The pipeline facade: owns the catalog, the store, and the component
-/// configurations.
+/// The pipeline facade: owns the catalog and the component
+/// configurations. Collected runs are persisted only through the
+/// store-backed paths ([`CounterMiner::analyze_with_store`],
+/// [`CounterMiner::ingest`]).
 ///
 /// # Examples
 ///
@@ -115,7 +117,7 @@ pub struct IngestSummary {
 /// use counterminer::{CounterMiner, MinerConfig};
 /// use cm_sim::Benchmark;
 ///
-/// let mut miner = CounterMiner::new(MinerConfig::default());
+/// let miner = CounterMiner::new(MinerConfig::default());
 /// let report = miner.analyze(Benchmark::Wordcount)?;
 /// for (event, importance) in report.eir.top(3) {
 ///     println!("{event}: {importance:.1}%");
@@ -126,7 +128,6 @@ pub struct IngestSummary {
 pub struct CounterMiner {
     catalog: EventCatalog,
     config: MinerConfig,
-    db: Database,
 }
 
 impl CounterMiner {
@@ -135,7 +136,6 @@ impl CounterMiner {
         CounterMiner {
             catalog: EventCatalog::haswell(),
             config,
-            db: Database::new(),
         }
     }
 
@@ -147,11 +147,6 @@ impl CounterMiner {
     /// The pipeline configuration.
     pub fn config(&self) -> &MinerConfig {
         &self.config
-    }
-
-    /// The two-level store of collected runs.
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 
     /// Resolves the concrete event set the collector will measure for a
@@ -167,25 +162,19 @@ impl CounterMiner {
         workload.top_event_ids(&self.catalog, n_events)
     }
 
-    /// Collects (and stores) the configured number of multiplexed runs
-    /// of a benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Returns a store error when the same benchmark is collected twice.
-    pub fn collect(&mut self, benchmark: Benchmark) -> Result<Vec<SimRun>, CmError> {
+    /// Collects the configured number of multiplexed runs of a
+    /// benchmark. Collection is a pure function of the configuration, so
+    /// collecting twice yields identical runs.
+    pub fn collect(&self, benchmark: Benchmark) -> Vec<SimRun> {
         let workload = Workload::new(benchmark, &self.catalog);
-        let events = self.resolve_events(benchmark);
-        let runs = collector::collect_runs(
+        collector::collect_runs(
             &workload,
-            &events,
+            &self.resolve_events(benchmark),
             SampleMode::Mlpx,
             self.config.runs_per_benchmark,
             &self.config.pmu,
             self.config.seed,
-        );
-        collector::store_runs(&mut self.db, &runs)?;
-        Ok(runs)
+        )
     }
 
     /// Runs the full pipeline on one benchmark: collect, clean, build
@@ -202,7 +191,7 @@ impl CounterMiner {
     /// use cm_sim::Benchmark;
     /// use counterminer::{CounterMiner, ImportanceConfig, MinerConfig};
     ///
-    /// let mut miner = CounterMiner::new(MinerConfig {
+    /// let miner = CounterMiner::new(MinerConfig {
     ///     runs_per_benchmark: 1,
     ///     events_to_measure: Some(12),
     ///     ..MinerConfig::default()
@@ -216,13 +205,13 @@ impl CounterMiner {
     /// # Errors
     ///
     /// Propagates failures from any stage.
-    pub fn analyze(&mut self, benchmark: Benchmark) -> Result<AnalysisReport, CmError> {
+    pub fn analyze(&self, benchmark: Benchmark) -> Result<AnalysisReport, CmError> {
         let _analyze = cm_obs::span!("analyze", benchmark = benchmark.name());
         cm_obs::counter_add("pipeline.analyses", 1);
 
         let runs = {
             let _s = cm_obs::span!("collect");
-            self.collect(benchmark)?
+            self.collect(benchmark)
         };
         let events: Vec<EventId> = runs[0].record.events().collect();
 
@@ -257,15 +246,14 @@ impl CounterMiner {
             }
         }
 
-        self.model_and_rank(
-            benchmark,
-            &runs,
-            &events,
-            Some(&cleaner),
-            uncertainty.as_deref(),
+        let front = snapshot::Snapshot {
+            runs,
+            events,
             outliers_replaced,
             missing_filled,
-        )
+            uncertainty,
+        };
+        self.model_and_rank(benchmark, &front, Some(&cleaner))
     }
 
     /// Runs the pipeline against a persistent [`Store`], resuming from a
@@ -293,15 +281,14 @@ impl CounterMiner {
     /// corrupt (checksum mismatch, truncation) is reported, never
     /// silently re-collected.
     pub fn analyze_with_store(
-        &mut self,
+        &self,
         benchmark: Benchmark,
         store: &mut Store,
     ) -> Result<AnalysisReport, CmError> {
         let _analyze = cm_obs::span!("analyze", benchmark = benchmark.name());
         cm_obs::counter_add("pipeline.analyses", 1);
 
-        let measured = self.resolve_events(benchmark);
-        let fp = snapshot::fingerprint(benchmark, &self.config, measured.as_slice());
+        let fp = self.snapshot_fingerprint(benchmark);
         let resumed = {
             let _s = cm_obs::span!("resume.probe");
             snapshot::load(store, benchmark, fp)?
@@ -313,18 +300,10 @@ impl CounterMiner {
             }
             None => {
                 cm_obs::counter_add("pipeline.resume.misses", 1);
-                self.collect_and_persist(benchmark, fp, &measured, store)?
+                self.collect_and_persist(benchmark, fp, store)?
             }
         };
-        self.model_and_rank(
-            benchmark,
-            &snap.runs,
-            &snap.events,
-            None,
-            snap.uncertainty.as_deref(),
-            snap.outliers_replaced,
-            snap.missing_filled,
-        )
+        self.model_and_rank(benchmark, &snap, None)
     }
 
     /// The snapshot fingerprint the store-backed paths probe for: a hash
@@ -370,16 +349,7 @@ impl CounterMiner {
         };
         cm_obs::counter_add("pipeline.analyses", 1);
         cm_obs::counter_add("pipeline.resume.hits", 1);
-        self.model_and_rank(
-            benchmark,
-            &snap.runs,
-            &snap.events,
-            None,
-            snap.uncertainty.as_deref(),
-            snap.outliers_replaced,
-            snap.missing_filled,
-        )
-        .map(Some)
+        self.model_and_rank(benchmark, &snap, None).map(Some)
     }
 
     /// Collects and cleans a benchmark and persists the snapshot into
@@ -395,8 +365,7 @@ impl CounterMiner {
         store: &mut Store,
     ) -> Result<IngestSummary, CmError> {
         let _s = cm_obs::span!("ingest", benchmark = benchmark.name());
-        let measured = self.resolve_events(benchmark);
-        let fp = snapshot::fingerprint(benchmark, &self.config, measured.as_slice());
+        let fp = self.snapshot_fingerprint(benchmark);
         let (snap, resumed) = match snapshot::load(store, benchmark, fp)? {
             Some(snap) => {
                 cm_obs::counter_add("pipeline.resume.hits", 1);
@@ -404,10 +373,7 @@ impl CounterMiner {
             }
             None => {
                 cm_obs::counter_add("pipeline.resume.misses", 1);
-                (
-                    self.collect_and_persist(benchmark, fp, &measured, store)?,
-                    false,
-                )
+                (self.collect_and_persist(benchmark, fp, store)?, false)
             }
         };
         Ok(IngestSummary {
@@ -420,9 +386,7 @@ impl CounterMiner {
     }
 
     /// The cold front half of the store-backed pipeline: collect exactly
-    /// as `analyze` does (same seeds, same event selection), clean, and
-    /// commit the snapshot. Keeps the runs out of the in-memory database
-    /// — the columnar store is the system of record here. Returns the
+    /// as `analyze` does, clean, and commit the snapshot. Returns the
     /// snapshot *re-read from the store*, so the cold path exercises the
     /// exact code the warm path will, and a store that cannot round-trip
     /// fails loudly on day one.
@@ -430,20 +394,11 @@ impl CounterMiner {
         &self,
         benchmark: Benchmark,
         fp: u64,
-        measured: &cm_events::EventSet,
         store: &mut Store,
     ) -> Result<snapshot::Snapshot, CmError> {
         let runs = {
             let _s = cm_obs::span!("collect");
-            let workload = Workload::new(benchmark, &self.catalog);
-            collector::collect_runs(
-                &workload,
-                measured,
-                SampleMode::Mlpx,
-                self.config.runs_per_benchmark,
-                &self.config.pmu,
-                self.config.seed,
-            )
+            self.collect(benchmark)
         };
         let events: Vec<EventId> = runs[0].record.events().collect();
 
@@ -510,20 +465,17 @@ impl CounterMiner {
     }
 
     /// The shared back half of the pipeline: dataset assembly, EIR
-    /// importance ranking, and interaction ranking. `cleaner` is `Some`
-    /// when `runs` are raw (the in-memory path) and `None` when they were
-    /// cleaned already (the store-resume path). `uncertainty` carries the
-    /// per-event column variance aggregates in `bayes` mode.
+    /// importance ranking, and interaction ranking over the front half's
+    /// result. `cleaner` is `Some` when `front.runs` are raw (the
+    /// in-memory path) and `None` when they were cleaned already (the
+    /// store-backed paths).
     fn model_and_rank(
         &self,
         benchmark: Benchmark,
-        runs: &[SimRun],
-        events: &[EventId],
+        front: &snapshot::Snapshot,
         cleaner: Option<&DataCleaner>,
-        uncertainty: Option<&[VarianceAggregate]>,
-        outliers_replaced: usize,
-        missing_filled: usize,
     ) -> Result<AnalysisReport, CmError> {
+        let (runs, events) = (&front.runs, &front.events);
         let data = {
             let _s = cm_obs::span!("dataset");
             let data = collector::build_dataset(runs, events, cleaner)?;
@@ -531,7 +483,7 @@ impl CounterMiner {
             collector::normalize_columns(&data)?
         };
 
-        let column_uncertainty: Option<Vec<f64>> = uncertainty.map(|aggregates| {
+        let column_uncertainty: Option<Vec<f64>> = front.uncertainty.as_ref().map(|aggregates| {
             let total_variance: f64 = aggregates.iter().map(|a| a.sum_variance).sum();
             let reconstructed: u64 = aggregates.iter().map(|a| a.reconstructed).sum();
             // One point per analysis: how much uncertainty the cleaner
@@ -576,8 +528,8 @@ impl CounterMiner {
             cleaner: self.config.cleaner_kind,
             eir,
             interactions,
-            outliers_replaced,
-            missing_filled,
+            outliers_replaced: front.outliers_replaced,
+            missing_filled: front.missing_filled,
         })
     }
 }
@@ -612,7 +564,7 @@ mod tests {
 
     #[test]
     fn end_to_end_analysis_runs() {
-        let mut miner = CounterMiner::new(tiny_config());
+        let miner = CounterMiner::new(tiny_config());
         let report = miner.analyze(Benchmark::Wordcount).unwrap();
         assert_eq!(report.benchmark, Benchmark::Wordcount);
         assert!(!report.eir.ranking.is_empty());
@@ -620,13 +572,11 @@ mod tests {
         // Multiplexing 14 events on 4 counters produces dirty data the
         // cleaner acts on.
         assert!(report.outliers_replaced + report.missing_filled > 0);
-        // The collected runs are in the store.
-        assert_eq!(miner.database().run_count(), 1);
     }
 
     #[test]
     fn top_ranked_event_is_a_dominant_profile_event() {
-        let mut miner = CounterMiner::new(MinerConfig {
+        let miner = CounterMiner::new(MinerConfig {
             runs_per_benchmark: 2,
             ..tiny_config()
         });
@@ -655,7 +605,7 @@ mod tests {
     fn analysis_runs_with_exact_trainer() {
         let mut config = tiny_config();
         config.importance.sgbrt.trainer = cm_ml::Trainer::Exact;
-        let mut miner = CounterMiner::new(config);
+        let miner = CounterMiner::new(config);
         let report = miner.analyze(Benchmark::Sort).unwrap();
         assert!(!report.eir.ranking.is_empty());
         assert_eq!(report.interactions.len(), 4 * 3 / 2);
@@ -668,7 +618,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut store = Store::open(dir.join("pipe.cmstore")).unwrap();
 
-        let mut miner = CounterMiner::new(tiny_config());
+        let miner = CounterMiner::new(tiny_config());
         let cold = miner
             .analyze_with_store(Benchmark::Wordcount, &mut store)
             .unwrap();
@@ -686,12 +636,12 @@ mod tests {
         };
         assert_eq!(pairs(&cold), pairs(&warm));
         // And the plain in-memory path agrees with both.
-        let mut plain = CounterMiner::new(tiny_config());
+        let plain = CounterMiner::new(tiny_config());
         let baseline = plain.analyze(Benchmark::Wordcount).unwrap();
         assert_eq!(baseline.eir.ranking, warm.eir.ranking);
 
         // A changed collection knob is a miss, not stale data.
-        let mut reseeded = CounterMiner::new(MinerConfig {
+        let reseeded = CounterMiner::new(MinerConfig {
             seed: 42,
             ..tiny_config()
         });
@@ -724,7 +674,7 @@ mod tests {
             .unwrap()
             .expect("snapshot committed by ingest");
 
-        let mut oracle = CounterMiner::new(tiny_config());
+        let oracle = CounterMiner::new(tiny_config());
         let full = oracle
             .analyze_with_store(Benchmark::Sort, &mut store)
             .unwrap();
@@ -741,11 +691,11 @@ mod tests {
     /// curve, no cleaner tallies — it only attaches uncertainty.
     #[test]
     fn bayes_analysis_matches_point_and_adds_uncertainty() {
-        let mut point = CounterMiner::new(MinerConfig {
+        let point = CounterMiner::new(MinerConfig {
             cleaner_kind: CleanerKind::Point,
             ..tiny_config()
         });
-        let mut bayes = CounterMiner::new(MinerConfig {
+        let bayes = CounterMiner::new(MinerConfig {
             cleaner_kind: CleanerKind::Bayes,
             ..tiny_config()
         });
@@ -816,7 +766,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut store = Store::open(dir.join("bayes.cmstore")).unwrap();
 
-        let mut miner = CounterMiner::new(MinerConfig {
+        let miner = CounterMiner::new(MinerConfig {
             cleaner_kind: CleanerKind::Bayes,
             ..tiny_config()
         });
@@ -841,19 +791,12 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         // And both agree with the in-memory bayes path.
-        let mut plain = CounterMiner::new(MinerConfig {
+        let plain = CounterMiner::new(MinerConfig {
             cleaner_kind: CleanerKind::Bayes,
             ..tiny_config()
         });
         let baseline = plain.analyze(Benchmark::Wordcount).unwrap();
         assert_eq!(baseline.eir.ranking, warm.eir.ranking);
         assert_eq!(baseline.eir.uncertainty, warm.eir.uncertainty);
-    }
-
-    #[test]
-    fn double_collect_is_rejected() {
-        let mut miner = CounterMiner::new(tiny_config());
-        miner.collect(Benchmark::Scan).unwrap();
-        assert!(miner.collect(Benchmark::Scan).is_err());
     }
 }

@@ -69,7 +69,7 @@ mod tests {
     use cm_sim::Benchmark;
 
     fn report() -> (EventCatalog, crate::AnalysisReport) {
-        let mut miner = CounterMiner::new(MinerConfig {
+        let miner = CounterMiner::new(MinerConfig {
             runs_per_benchmark: 1,
             events_to_measure: Some(16),
             importance: ImportanceConfig {

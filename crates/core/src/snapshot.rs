@@ -25,6 +25,7 @@
 use crate::uncertainty::{decode_aggregates, encode_aggregates};
 use crate::{CleanerKind, CmError, MinerConfig, VarianceAggregate};
 use cm_events::{EventId, RunRecord, SampleMode};
+use cm_par::rng::{fnv1a_extend, FNV1A_OFFSET};
 use cm_sim::{Benchmark, SimRun};
 use cm_store::{RunId, SeriesKey, Store};
 use std::collections::BTreeMap;
@@ -33,11 +34,14 @@ use std::collections::BTreeMap;
 /// the only mode the pipeline collects in.
 const SNAPSHOT_MODE: SampleMode = SampleMode::Mlpx;
 
-/// A front-half pipeline result restored from (or about to enter) the
-/// columnar store.
+/// A front-half pipeline result: what `analyze` collected, or what the
+/// store-backed paths restored from (or are about to commit to) the
+/// columnar store. The model half takes it as one value.
 pub(crate) struct Snapshot {
-    /// Cleaned runs, IPC attached, `true_counts` empty (ground truth is
-    /// a simulation artifact and is not persisted).
+    /// The runs, IPC attached: raw in `analyze` (the model half cleans
+    /// them), cleaned everywhere else. Restored runs have empty
+    /// `true_counts` (ground truth is a simulation artifact and is not
+    /// persisted).
     pub runs: Vec<SimRun>,
     /// The measured events, in dataset column order.
     pub events: Vec<EventId>,
@@ -50,16 +54,6 @@ pub(crate) struct Snapshot {
     /// bit-exactly so a warm bayes run replays the cold run's
     /// uncertainty byte for byte.
     pub uncertainty: Option<Vec<VarianceAggregate>>,
-}
-
-/// FNV-1a 64-bit hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Fingerprints every knob that influences collection and cleaning,
@@ -92,7 +86,7 @@ pub(crate) fn fingerprint(benchmark: Benchmark, config: &MinerConfig, events: &[
         config.runs_per_benchmark,
         config.seed,
     );
-    fnv1a(desc.as_bytes())
+    fnv1a_extend(FNV1A_OFFSET, desc.as_bytes())
 }
 
 fn raw_ns(benchmark: Benchmark, fp: u64) -> String {
@@ -230,7 +224,7 @@ pub(crate) fn load(
     let missing_filled = parsed_meta(store, benchmark, "missing")?;
     // Bayes snapshots carry their column variance aggregates; their
     // absence under a bayes marker is corruption, not a miss.
-    let uncertainty = match store.meta(&meta_key(benchmark, "cleaner")).as_deref() {
+    let uncertainty = match store.meta(&meta_key(benchmark, "cleaner")) {
         Some("bayes") => {
             let encoded =
                 store
@@ -238,7 +232,7 @@ pub(crate) fn load(
                     .ok_or(CmError::Invalid(
                         "snapshot metadata is incomplete; re-ingest the benchmark",
                     ))?;
-            let aggregates = decode_aggregates(&encoded)?;
+            let aggregates = decode_aggregates(encoded)?;
             if aggregates.len() != events.len() {
                 return Err(CmError::Invalid(
                     "snapshot uncertainty does not match its event list; re-ingest the benchmark",
@@ -283,6 +277,28 @@ pub(crate) fn load(
 mod tests {
     use super::*;
     use cm_events::TimeSeries as Ts;
+
+    /// Fingerprints key every committed snapshot, so they must not move:
+    /// pinned to the hand-rolled FNV-1a loop's values.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let config = MinerConfig {
+            cleaner_kind: CleanerKind::Point,
+            ..MinerConfig::default()
+        };
+        assert_eq!(
+            fingerprint(
+                Benchmark::Sort,
+                &config,
+                &[EventId::new(3), EventId::new(1)]
+            ),
+            0x5f98_f842_a144_e6e5
+        );
+        assert_eq!(
+            fnv1a_extend(FNV1A_OFFSET, b"v3|Sort"),
+            0x3580_4fd1_49a4_0cf6
+        );
+    }
 
     fn sim_run(program: &str, idx: u32, values: &[f64]) -> SimRun {
         let mut record = RunRecord::new(program, idx, SNAPSHOT_MODE);

@@ -3,6 +3,10 @@
 //! Every random draw in the pipeline comes from an [`Rng`], so a result
 //! is a pure function of its seed. Each method's doc states its draw
 //! rule; changing any rule moves every seeded output.
+//!
+//! The module also holds the workspace's one FNV-1a loop,
+//! [`fnv1a_extend`], which turns names and configurations into seeds,
+//! cache salts and snapshot fingerprints.
 
 use std::ops::Range;
 
@@ -21,6 +25,28 @@ fn finalize(mut z: u64) -> u64 {
 /// are statistically independent.
 pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     finalize(seed ^ stream.wrapping_mul(GAMMA))
+}
+
+/// Offset basis of 64-bit FNV-1a: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime, 2^40 + 0x1b3.
+pub const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h`: per byte, xor it in,
+/// then multiply by [`FNV1A_PRIME`]. `fnv1a_extend(FNV1A_OFFSET, b)` is
+/// the FNV-1a hash of `b`.
+pub fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    fnv1a_extend_with(FNV1A_PRIME, h, bytes)
+}
+
+/// [`fnv1a_extend`] with another multiplier. The simulator seeds every
+/// series through `2^44 + 0x1b3`, not the FNV prime; changing it would
+/// move every simulated value.
+pub fn fnv1a_extend_with(prime: u64, h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime))
 }
 
 /// A seeded SplitMix64 generator.
@@ -130,6 +156,19 @@ mod tests {
 
     fn draws(mut r: Rng) -> Vec<u64> {
         (0..8).map(|_| r.next_u64()).collect()
+    }
+
+    /// Published 64-bit FNV-1a test vectors.
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a_extend(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_extend(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_extend(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Extending is hashing the concatenation.
+        assert_eq!(
+            fnv1a_extend(fnv1a_extend(FNV1A_OFFSET, b"foo"), b"bar"),
+            fnv1a_extend(FNV1A_OFFSET, b"foobar")
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::workload::{GeneratedRun, Workload};
+use crate::workload::{fnv_extend, GeneratedRun, Workload};
 
 /// Anything whose activity the PMU can measure: a single [`Workload`] or
 /// a [`ColocatedWorkload`](crate::ColocatedWorkload).
@@ -18,6 +18,7 @@ impl ActivitySource for Workload {
     }
 }
 use cm_events::{EventId, EventSet, RunRecord, SampleMode, TimeSeries};
+use cm_par::rng::FNV1A_OFFSET;
 use cm_par::Rng;
 use std::collections::BTreeMap;
 
@@ -452,11 +453,7 @@ fn measured_ipc(truth: &GeneratedRun, rng: &mut Rng) -> TimeSeries {
 }
 
 fn measurement_rng(program: &str, run_index: u32, seed: u64, tag: u64) -> Rng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ tag;
-    for byte in program.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
+    let h = fnv_extend(FNV1A_OFFSET ^ tag, program.as_bytes());
     Rng::new(h ^ seed.rotate_left(17) ^ (u64::from(run_index) << 32))
 }
 
@@ -479,6 +476,19 @@ mod tests {
     use super::*;
     use crate::Benchmark;
     use cm_events::{abbrev, EventCatalog};
+
+    /// The measurement streams' seeds, pinned to the hand-rolled loop's.
+    #[test]
+    fn measurement_rng_is_pinned() {
+        assert_eq!(
+            measurement_rng("wordcount", 3, 7, 11).next_u64(),
+            0xdc77_41ca_2c11_4a1c
+        );
+        assert_eq!(
+            measurement_rng("", 0, 0, 0).next_u64(),
+            0xc381_7c01_6ba4_ff30
+        );
+    }
 
     fn setup() -> (EventCatalog, Workload) {
         let c = EventCatalog::haswell();

@@ -289,9 +289,9 @@ pub fn k_medoids(
     const MAX_ITER: usize = 64;
     while iterations < MAX_ITER {
         iterations += 1;
-        for c in 0..k {
+        for (c, medoid) in medoids.iter_mut().enumerate() {
             let members: Vec<usize> = (0..n).filter(|&i| assignments[i] == c).collect();
-            let mut best = medoids[c];
+            let mut best = *medoid;
             let mut best_cost = f64::INFINITY;
             for &candidate in &members {
                 let cost: f64 = members.iter().map(|&i| distances.get(i, candidate)).sum();
@@ -300,7 +300,7 @@ pub fn k_medoids(
                     best = candidate;
                 }
             }
-            medoids[c] = best;
+            *medoid = best;
         }
         let next = assign(&medoids);
         if next == assignments {

@@ -25,6 +25,7 @@
 //! counters `store.cache.hits`, `store.cache.misses`, and
 //! `store.cache.evictions`.
 
+use cm_par::rng::{fnv1a_extend, FNV1A_OFFSET};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -380,12 +381,7 @@ impl std::fmt::Debug for BlockCache {
 /// FNV-1a salt for a store path: the identity that keeps two stores
 /// sharing one [`BlockCache`] from colliding on equal chunk offsets.
 pub(crate) fn path_salt(path: &std::path::Path) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in path.to_string_lossy().as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_extend(FNV1A_OFFSET, path.to_string_lossy().as_bytes())
 }
 
 #[cfg(test)]
@@ -543,6 +539,16 @@ mod tests {
         let total = cache.stats();
         assert_eq!(total.hits, shards.iter().map(|s| s.hits).sum::<u64>());
         assert_eq!(total.entries, shards.iter().map(|s| s.entries).sum());
+    }
+
+    #[test]
+    fn path_salts_are_pinned() {
+        use std::path::Path;
+        assert_eq!(
+            path_salt(Path::new("/tmp/a.cmstore")),
+            0xe5e9_5b6c_de72_9308
+        );
+        assert_eq!(path_salt(Path::new("runs.cmstore")), 0x6866_8f58_b8b2_3b04);
     }
 
     #[test]

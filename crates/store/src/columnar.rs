@@ -1,10 +1,9 @@
 //! The persistent chunked columnar store.
 //!
-//! [`Store`] is the durable sibling of the in-memory [`crate::Database`]:
-//! one binary file holding every collected series as an independently
-//! encoded, CRC-guarded column chunk, plus the run table (execution
-//! times) and a string metadata map the pipeline uses for snapshot
-//! fingerprints. See [`crate::format`] for the byte layout and
+//! [`Store`] is one binary file holding every collected series as an
+//! independently encoded, CRC-guarded column chunk, plus the run table
+//! (execution times) and a string metadata map the pipeline uses for
+//! snapshot fingerprints. See [`crate::format`] for the byte layout and
 //! `docs/STORAGE_FORMAT.md` for the full specification.
 //!
 //! Writes are staged in memory and made durable by [`Store::commit`],
@@ -457,11 +456,7 @@ impl Store {
     /// ```
     pub fn append_series(&mut self, key: SeriesKey, values: &[f64]) -> Result<(), StoreError> {
         if self.chunks.contains_key(&key) {
-            return Err(StoreError::DuplicateSeries {
-                program: key.program,
-                run_index: key.run_index,
-                event: key.event.index(),
-            });
+            return Err(duplicate_series(&key));
         }
         self.chunks
             .insert(key, SeriesState::staged(values.to_vec()));
@@ -526,23 +521,31 @@ impl Store {
     }
 
     /// Stages every series of a [`RunRecord`] plus its run-table entry.
+    /// Every key is checked before anything is staged, so a rejected run
+    /// leaves the store as it was.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::DuplicateSeries`] on any key collision (the
-    /// run table entry is keyed identically, so a duplicate run fails on
-    /// its first series).
+    /// Returns [`StoreError::DuplicateRun`] when the run is already in the
+    /// run table (even if it has no series), and
+    /// [`StoreError::DuplicateSeries`] when any of its series is already
+    /// stored or staged.
     pub fn append_run(&mut self, record: &RunRecord) -> Result<(), StoreError> {
-        for (event, series) in record.iter() {
-            self.append_series(
-                SeriesKey::new(record.program(), record.run_index(), record.mode(), event),
-                series.values(),
-            )?;
+        let id = RunId::new(record.program(), record.run_index(), record.mode());
+        if self.runs.contains_key(&id) {
+            return Err(StoreError::DuplicateRun {
+                program: id.program,
+                run_index: id.run_index,
+            });
         }
-        self.runs.insert(
-            RunId::new(record.program(), record.run_index(), record.mode()),
-            record.exec_time_secs(),
-        );
+        let key = |event| SeriesKey::new(&*id.program, id.run_index, id.mode, event);
+        if let Some(event) = record.events().find(|&e| self.chunks.contains_key(&key(e))) {
+            return Err(duplicate_series(&key(event)));
+        }
+        for (event, series) in record.iter() {
+            self.append_series(key(event), series.values())?;
+        }
+        self.runs.insert(id, record.exec_time_secs());
         self.tables_dirty = true;
         Ok(())
     }
@@ -841,8 +844,9 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::SeriesNotFound`] when the run has no series,
-    /// otherwise as for [`Store::read_series`].
+    /// Returns [`StoreError::SeriesNotFound`] when the run is neither in
+    /// the run table nor has any series, otherwise as for
+    /// [`Store::read_series`].
     pub fn read_run(&self, id: &RunId) -> Result<RunRecord, StoreError> {
         let mut record = RunRecord::new(id.program.clone(), id.run_index, id.mode);
         if let Some(secs) = self.exec_time_secs(id) {
@@ -856,7 +860,7 @@ impl Store {
             })
             .map(|(k, _)| k.clone())
             .collect();
-        if keys.is_empty() {
+        if keys.is_empty() && !self.runs.contains_key(id) {
             return Err(StoreError::SeriesNotFound {
                 program: id.program.clone(),
                 run_index: id.run_index,
@@ -1132,6 +1136,14 @@ impl Store {
     }
 }
 
+fn duplicate_series(key: &SeriesKey) -> StoreError {
+    StoreError::DuplicateSeries {
+        program: key.program.clone(),
+        run_index: key.run_index,
+        event: key.event.index(),
+    }
+}
+
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(TMP_SUFFIX);
@@ -1213,6 +1225,51 @@ mod tests {
         store.commit().unwrap();
         assert!(store.append_series(key("a", 0, 1), &[2.0]).is_err());
         fs::remove_file(&path).unwrap();
+    }
+
+    /// A run with no series is still a run: appending it twice is a
+    /// typed error, before and after a commit, and it reads back empty.
+    #[test]
+    fn duplicate_run_rejected_even_without_series() {
+        let path = temp_store("dup_run");
+        let mut store = Store::open(&path).unwrap();
+        let empty = RunRecord::new("idle", 2, SampleMode::Ocoe);
+        store.append_run(&empty).unwrap();
+        assert!(matches!(
+            store.append_run(&empty).unwrap_err(),
+            StoreError::DuplicateRun { .. }
+        ));
+        store.commit().unwrap();
+
+        let mut reopened = Store::open(&path).unwrap();
+        assert!(matches!(
+            reopened.append_run(&empty).unwrap_err(),
+            StoreError::DuplicateRun { .. }
+        ));
+        let got = reopened
+            .read_run(&RunId::new("idle", 2, SampleMode::Ocoe))
+            .unwrap();
+        assert_eq!(got.event_count(), 0);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A run that collides on its second event stages nothing: neither
+    /// its first event nor its run-table entry.
+    #[test]
+    fn colliding_run_stages_nothing() {
+        let path = temp_store("partial");
+        let mut store = Store::open(&path).unwrap();
+        store.append_series(key("wc", 0, 9), &[1.0]).unwrap();
+        let mut record = RunRecord::new("wc", 0, SampleMode::Mlpx);
+        record.insert_series(EventId::new(1), TimeSeries::from_values(vec![2.0]));
+        record.insert_series(EventId::new(9), TimeSeries::from_values(vec![3.0]));
+        assert!(matches!(
+            store.append_run(&record).unwrap_err(),
+            StoreError::DuplicateSeries { event: 9, .. }
+        ));
+        assert!(!store.contains_series(&key("wc", 0, 1)));
+        assert_eq!(store.series_count(), 1);
+        assert_eq!(store.run_ids().count(), 0);
     }
 
     #[test]

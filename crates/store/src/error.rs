@@ -32,17 +32,8 @@ pub enum StoreError {
         /// Event index looked up.
         event: usize,
     },
-    /// Underlying filesystem failure during save/load.
+    /// Underlying filesystem failure.
     Io(io::Error),
-    /// A persisted file did not parse.
-    Parse {
-        /// File the error occurred in.
-        file: String,
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        reason: String,
-    },
     /// The file is not a columnar store (bad magic bytes).
     NotAStore {
         /// Offending file.
@@ -125,9 +116,6 @@ impl fmt::Display for StoreError {
                 "no series for event {event} of {program} run {run_index} in the store"
             ),
             StoreError::Io(e) => write!(f, "storage i/o failed: {e}"),
-            StoreError::Parse { file, line, reason } => {
-                write!(f, "parse error in {file} line {line}: {reason}")
-            }
             StoreError::NotAStore { file } => {
                 write!(f, "{file} is not a columnar store (bad magic)")
             }
@@ -180,12 +168,12 @@ mod tests {
         assert!(e.to_string().contains("sort"));
         assert!(e.to_string().contains('3'));
 
-        let e = StoreError::Parse {
-            file: "catalog.tsv".into(),
-            line: 7,
-            reason: "expected 5 fields".into(),
+        let e = StoreError::DuplicateSeries {
+            program: "sort".into(),
+            run_index: 3,
+            event: 7,
         };
-        assert!(e.to_string().contains("line 7"));
+        assert!(e.to_string().contains("event 7"));
     }
 
     #[test]

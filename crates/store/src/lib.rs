@@ -9,42 +9,54 @@
 //! * each *second-level* table holds the time series of every measured
 //!   event for one run of one program.
 //!
-//! This crate reproduces that organization twice over:
+//! [`Store`] reproduces that organization in one binary file per store:
 //!
-//! * [`Database`] — the in-memory two-level store with a plain-text
-//!   persistence format, filling SQLite's role without an external
-//!   dependency; the collector's working set.
-//! * [`Store`] — the **persistent chunked columnar store**: one binary
-//!   file per store with a versioned superblock, per-series column
-//!   chunks (delta+varint encoded when integral, raw `f64` bits
-//!   otherwise), CRC-32 checksums on every region, an append-only
-//!   writer committed by atomic rename, and a sharded LRU block cache
-//!   ([`CacheConfig`], `CM_STORE_CACHE`). This is what lets the
-//!   pipeline collect once and analyze many times — see
-//!   `docs/STORAGE_FORMAT.md` for the byte-level layout.
+//! * the *run table* maps each run (program, run index, mode) to its
+//!   execution time, and [`Store::summary`] answers the first-level
+//!   query per program (events, execution times, table names) from it
+//!   and the series index, without decoding a chunk;
+//! * each series is a column chunk — delta+varint encoded when
+//!   integral, raw `f64` bits otherwise — keyed by run and event.
+//!
+//! The file has a versioned superblock, CRC-32 checksums on every
+//! region, an append-only writer committed by atomic rename, and a
+//! sharded LRU block cache ([`CacheConfig`], `CM_STORE_CACHE`). This is
+//! what lets the pipeline collect once and analyze many times — see
+//! `docs/STORAGE_FORMAT.md` for the byte-level layout.
 //!
 //! Series lengths are allowed to differ between events and runs — the
 //! property that motivates the paper's use of dynamic time warping.
 //!
 //! # Examples
 //!
-//! The in-memory two-level database:
+//! Whole runs, and the first-level summary they produce:
 //!
 //! ```
 //! use cm_events::{EventId, RunRecord, SampleMode, TimeSeries};
-//! use cm_store::Database;
+//! use cm_store::{RunId, Store};
 //!
-//! let mut db = Database::new();
+//! let dir = std::env::temp_dir().join(format!("cm_lib_runs_{}", std::process::id()));
+//! std::fs::create_dir_all(&dir)?;
+//! let path = dir.join("runs.cmstore");
+//! # let _ = std::fs::remove_file(&path);
+//!
+//! let mut store = Store::open(&path)?;
 //! let mut run = RunRecord::new("wordcount", 0, SampleMode::Ocoe);
+//! run.set_exec_time_secs(12.5);
 //! run.insert_series(EventId::new(3), TimeSeries::from_values(vec![1.0, 2.0]));
-//! db.insert_run(run)?;
+//! store.append_run(&run)?;
+//! store.commit()?;
 //!
-//! let fetched = db.run("wordcount", 0, SampleMode::Ocoe).unwrap();
+//! let reopened = Store::open(&path)?;
+//! let summary = reopened.summary("wordcount").unwrap();
+//! assert_eq!(summary.exec_times_secs, vec![12.5]);
+//! let fetched = reopened.read_run(&RunId::new("wordcount", 0, SampleMode::Ocoe))?;
 //! assert_eq!(fetched.event_count(), 1);
+//! # std::fs::remove_file(&path)?;
 //! # Ok::<(), cm_store::StoreError>(())
 //! ```
 //!
-//! The persistent columnar store:
+//! Single series:
 //!
 //! ```
 //! use cm_events::{EventId, SampleMode};
@@ -71,17 +83,14 @@
 mod cache;
 mod codec;
 mod columnar;
-mod database;
 mod error;
 mod format;
-mod persist;
 mod query;
 mod vfs;
 
 pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use codec::Encoding;
 pub use columnar::{RunId, SeriesKey, Store, StoreInfo, MAX_CHUNK_CHAIN};
-pub use database::{Database, ProgramSummary, RunKey};
 pub use error::StoreError;
-pub use query::ExecTimeStats;
+pub use query::{ExecTimeStats, ProgramSummary};
 pub use vfs::{RealFs, Vfs, VfsFile};

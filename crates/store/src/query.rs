@@ -1,8 +1,24 @@
-//! Analytical queries over the two-level store — the read patterns the
-//! CounterMiner pipeline and its tooling need beyond point lookups.
+//! First-level queries over a [`Store`]: the paper's per-program table
+//! (Section III-A), answered from the run table and the series index
+//! without decoding a chunk.
 
-use crate::Database;
-use cm_events::{EventId, SampleMode, TimeSeries};
+use crate::{RunId, Store};
+use cm_events::EventId;
+
+/// First-level summary of everything stored for one program.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProgramSummary {
+    /// Program name.
+    pub program: String,
+    /// Number of runs in the run table (all modes).
+    pub run_count: usize,
+    /// Execution time of each run, in key order.
+    pub exec_times_secs: Vec<f64>,
+    /// Union of events stored across the program's series.
+    pub events: Vec<EventId>,
+    /// Second-level table names ([`RunId::table_name`]), in key order.
+    pub table_names: Vec<String>,
+}
 
 /// Min / mean / max execution time of a program's stored runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,15 +33,42 @@ pub struct ExecTimeStats {
     pub runs: usize,
 }
 
-impl Database {
-    /// Execution-time statistics for one program (any mode), or `None`
-    /// for an unknown program.
-    pub fn exec_time_stats(&self, program: &str) -> Option<ExecTimeStats> {
-        let times: Vec<f64> = self
-            .runs_for(program)
-            .iter()
-            .map(|r| r.exec_time_secs())
+impl RunId {
+    /// The second-level table name this run maps to, mirroring the
+    /// paper's "names of the second-level tables" column.
+    pub fn table_name(&self) -> String {
+        format!("{}__{}__run{}", self.program, self.mode, self.run_index)
+    }
+}
+
+impl Store {
+    /// First-level summary for one program, or `None` when the run table
+    /// holds no run of it.
+    pub fn summary(&self, program: &str) -> Option<ProgramSummary> {
+        let runs: Vec<(&RunId, f64)> = self.program_runs(program).collect();
+        if runs.is_empty() {
+            return None;
+        }
+        let mut events: Vec<EventId> = self
+            .series_keys()
+            .filter(|k| k.program == program)
+            .map(|k| k.event)
             .collect();
+        events.sort();
+        events.dedup();
+        Some(ProgramSummary {
+            program: program.to_string(),
+            run_count: runs.len(),
+            exec_times_secs: runs.iter().map(|&(_, secs)| secs).collect(),
+            events,
+            table_names: runs.iter().map(|(id, _)| id.table_name()).collect(),
+        })
+    }
+
+    /// Execution-time statistics for one program (any mode), or `None`
+    /// when the run table holds no run of it.
+    pub fn exec_time_stats(&self, program: &str) -> Option<ExecTimeStats> {
+        let times: Vec<f64> = self.program_runs(program).map(|(_, secs)| secs).collect();
         if times.is_empty() {
             return None;
         }
@@ -40,64 +83,18 @@ impl Database {
         })
     }
 
-    /// Events measured in *every* stored run of a program in the given
-    /// mode (the usable feature set for cross-run datasets). Empty when
-    /// the program has no runs in that mode.
-    pub fn events_common_to_runs(&self, program: &str, mode: SampleMode) -> Vec<EventId> {
-        let runs = self.runs_for_mode(program, mode);
-        let Some(first) = runs.first() else {
-            return Vec::new();
-        };
-        first
-            .events()
-            .filter(|&e| runs.iter().all(|r| r.series(e).is_some()))
-            .collect()
-    }
-
-    /// All series of one event across a program's runs in one mode, in
-    /// run-index order. Runs that did not measure the event are skipped.
-    pub fn event_series_across_runs(
-        &self,
-        program: &str,
-        mode: SampleMode,
-        event: EventId,
-    ) -> Vec<&TimeSeries> {
-        self.runs_for_mode(program, mode)
-            .into_iter()
-            .filter_map(|r| r.series(event))
-            .collect()
-    }
-
-    /// Total sample values stored, across all runs and events.
-    pub fn total_samples(&self) -> usize {
-        self.iter()
-            .map(|(_, run)| run.iter().map(|(_, ts)| ts.len()).sum::<usize>())
-            .sum()
-    }
-
-    /// `(OCOE runs, MLPX runs)` counts across the whole store.
-    pub fn mode_counts(&self) -> (usize, usize) {
-        let mut ocoe = 0;
-        let mut mlpx = 0;
-        for (key, _) in self.iter() {
-            match key.mode {
-                SampleMode::Ocoe => ocoe += 1,
-                SampleMode::Mlpx => mlpx += 1,
-            }
-        }
-        (ocoe, mlpx)
-    }
-
-    /// Removes every run of a program, returning how many were removed.
-    pub fn remove_program(&mut self, program: &str) -> usize {
-        self.retain(|key| key.program != program)
+    /// The run-table entries of one program, in key order.
+    fn program_runs<'a>(&'a self, program: &'a str) -> impl Iterator<Item = (&'a RunId, f64)> {
+        self.run_ids()
+            .filter(move |id| id.program == program)
+            .filter_map(|id| Some((id, self.exec_time_secs(id)?)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_events::RunRecord;
+    use cm_events::{RunRecord, SampleMode, TimeSeries};
 
     fn run(program: &str, idx: u32, mode: SampleMode, secs: f64, events: &[usize]) -> RunRecord {
         let mut r = RunRecord::new(program, idx, mode);
@@ -111,73 +108,55 @@ mod tests {
         r
     }
 
-    fn sample_db() -> Database {
-        let mut db = Database::new();
-        db.insert_run(run("a", 0, SampleMode::Mlpx, 10.0, &[1, 2, 3]))
-            .unwrap();
-        db.insert_run(run("a", 1, SampleMode::Mlpx, 14.0, &[1, 2]))
-            .unwrap();
-        db.insert_run(run("a", 0, SampleMode::Ocoe, 12.0, &[1]))
-            .unwrap();
-        db.insert_run(run("b", 0, SampleMode::Mlpx, 50.0, &[7]))
-            .unwrap();
-        db
+    /// A staged store (nothing committed): the queries read only the
+    /// run table and the index, so they need no file.
+    fn sample_store(tag: &str) -> Store {
+        let path = std::env::temp_dir().join(format!("cm_query_{tag}_{}", std::process::id()));
+        let mut store = Store::open(path).unwrap();
+        for r in [
+            run("a", 0, SampleMode::Mlpx, 10.0, &[1, 2, 3]),
+            run("a", 1, SampleMode::Mlpx, 14.0, &[1, 2]),
+            run("a", 0, SampleMode::Ocoe, 12.0, &[1]),
+            run("b", 0, SampleMode::Mlpx, 50.0, &[7]),
+        ] {
+            store.append_run(&r).unwrap();
+        }
+        store
     }
 
     #[test]
     fn exec_time_stats_aggregate() {
-        let db = sample_db();
-        let stats = db.exec_time_stats("a").unwrap();
+        let store = sample_store("stats");
+        let stats = store.exec_time_stats("a").unwrap();
         assert_eq!(stats.min, 10.0);
         assert_eq!(stats.max, 14.0);
         assert_eq!(stats.runs, 3);
         assert!((stats.mean - 12.0).abs() < 1e-12);
-        assert!(db.exec_time_stats("zzz").is_none());
+        assert!(store.exec_time_stats("zzz").is_none());
     }
 
     #[test]
-    fn common_events_intersect_runs() {
-        let db = sample_db();
-        let common: Vec<usize> = db
-            .events_common_to_runs("a", SampleMode::Mlpx)
-            .into_iter()
-            .map(|e| e.index())
-            .collect();
-        assert_eq!(common, vec![1, 2]); // event 3 missing from run 1
-        assert!(db
-            .events_common_to_runs("a", SampleMode::Ocoe)
-            .iter()
-            .map(|e| e.index())
-            .eq([1]));
-        assert!(db.events_common_to_runs("zzz", SampleMode::Mlpx).is_empty());
+    fn summary_aggregates_first_level_info() {
+        let store = sample_store("summary");
+        let summary = store.summary("a").unwrap();
+        assert_eq!(summary.run_count, 3);
+        // Key order: OCOE sorts before MLPX within a run index.
+        assert_eq!(summary.exec_times_secs, vec![12.0, 10.0, 14.0]);
+        assert_eq!(
+            summary.events,
+            vec![EventId::new(1), EventId::new(2), EventId::new(3)]
+        );
+        assert_eq!(summary.table_names.len(), 3);
+        assert!(summary.table_names.iter().all(|t| t.starts_with("a__")));
+        assert!(store.summary("unknown").is_none());
     }
 
     #[test]
-    fn series_across_runs_in_order() {
-        let db = sample_db();
-        let series = db.event_series_across_runs("a", SampleMode::Mlpx, EventId::new(1));
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].len(), 3); // run 0
-        assert_eq!(series[1].len(), 4); // run 1
-                                        // Event 3 only exists in run 0.
-        let partial = db.event_series_across_runs("a", SampleMode::Mlpx, EventId::new(3));
-        assert_eq!(partial.len(), 1);
-    }
-
-    #[test]
-    fn totals_and_mode_counts() {
-        let db = sample_db();
-        // a/mlpx0: 3 events x 3; a/mlpx1: 2 x 4; a/ocoe0: 1 x 3; b: 1 x 3.
-        assert_eq!(db.total_samples(), 9 + 8 + 3 + 3);
-        assert_eq!(db.mode_counts(), (1, 3));
-    }
-
-    #[test]
-    fn remove_program_deletes_all_its_runs() {
-        let mut db = sample_db();
-        assert_eq!(db.remove_program("a"), 3);
-        assert_eq!(db.run_count(), 1);
-        assert_eq!(db.remove_program("a"), 0);
-        assert_eq!(db.programs(), vec!["b".to_string()]);
+    fn table_name_is_unique_per_key() {
+        let a = RunId::new("x", 0, SampleMode::Ocoe).table_name();
+        let b = RunId::new("x", 0, SampleMode::Mlpx).table_name();
+        let c = RunId::new("x", 1, SampleMode::Ocoe).table_name();
+        assert_ne!(a, b);
+        assert_ne!(a, c);
     }
 }

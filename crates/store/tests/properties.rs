@@ -1,10 +1,12 @@
 //! Property-based tests for the two-level store: arbitrary finite data
-//! must survive a disk round trip exactly. Each property runs over
-//! `CASES` seeded inputs, and a failure names its seed.
+//! must survive a commit and reopen exactly, and a run key is accepted
+//! once. Each property runs over `CASES` seeded inputs, and a failure
+//! names its seed.
 
 use cm_events::{EventId, RunRecord, SampleMode, TimeSeries};
 use cm_par::Rng;
-use cm_store::Database;
+use cm_store::{RunId, Store, StoreError};
+use std::path::PathBuf;
 
 const CASES: u64 = 24;
 
@@ -41,6 +43,15 @@ fn lowercase(rng: &mut Rng, max_len: usize) -> String {
         .collect()
 }
 
+/// A fresh store path for one case.
+fn store_path(tag: &str, seed: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cm_store_prop_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}_{seed}.cmstore"));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
 #[test]
 fn roundtrip_preserves_arbitrary_runs() {
     for seed in 0..CASES {
@@ -60,25 +71,26 @@ fn roundtrip_preserves_arbitrary_runs() {
         run.insert_series(EventId::new(0), TimeSeries::from_values(series_a));
         run.insert_series(EventId::new(228), TimeSeries::from_values(series_b));
 
-        let mut db = Database::new();
-        db.insert_run(run).unwrap();
+        let path = store_path("roundtrip", seed);
+        let mut store = Store::open(&path).unwrap();
+        store.append_run(&run).unwrap();
+        store.commit().unwrap();
+        let loaded = Store::open(&path).unwrap();
+        let got = loaded
+            .read_run(&RunId::new(program.clone(), run_index, mode))
+            .expect("run present");
+        std::fs::remove_file(&path).ok();
 
-        let dir =
-            std::env::temp_dir().join(format!("cm_store_prop_{}_{run_index}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        db.save_to_dir(&dir).unwrap();
-        let loaded = Database::load_from_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let got = loaded.run(&program, run_index, mode).expect("run present");
         assert_eq!(got.exec_time_secs(), exec_time, "seed {seed}");
         for event in [EventId::new(0), EventId::new(228)] {
-            let original = db
-                .run(&program, run_index, mode)
-                .unwrap()
-                .series(event)
-                .unwrap();
-            assert_eq!(got.series(event).unwrap(), original, "seed {seed}");
+            let original = run.series(event).unwrap();
+            // Bit-level equality: `-0.0` must come back as `-0.0`.
+            let bits = |ts: &TimeSeries| ts.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(got.series(event).unwrap()),
+                bits(original),
+                "seed {seed}"
+            );
         }
     }
 }
@@ -89,10 +101,14 @@ fn duplicate_keys_always_rejected() {
         let mut rng = Rng::new(seed);
         let program = lowercase(&mut rng, 8);
         let run_index = rng.below(4) as u32;
-        let mut db = Database::new();
+        let path = store_path("duplicate", seed);
+        let mut store = Store::open(&path).unwrap();
         let run = RunRecord::new(program.clone(), run_index, SampleMode::Ocoe);
-        db.insert_run(run.clone()).unwrap();
-        assert!(db.insert_run(run).is_err(), "seed {seed}");
-        assert_eq!(db.run_count(), 1, "seed {seed}");
+        store.append_run(&run).unwrap();
+        assert!(
+            matches!(store.append_run(&run), Err(StoreError::DuplicateRun { .. })),
+            "seed {seed}"
+        );
+        assert_eq!(store.run_ids().count(), 1, "seed {seed}");
     }
 }

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Cold: collect, clean, persist, model.
     let mut store = Store::open(&path)?;
-    let mut miner = CounterMiner::new(config);
+    let miner = CounterMiner::new(config);
     Registry::global().drain();
     let started = Instant::now();
     let cold = miner.analyze_with_store(Benchmark::Wordcount, &mut store)?;
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // from the committed snapshot.
     drop(store);
     let mut store = Store::open(&path)?;
-    let mut miner = CounterMiner::new(config);
+    let miner = CounterMiner::new(config);
     let started = Instant::now();
     let warm = miner.analyze_with_store(Benchmark::Wordcount, &mut store)?;
     let warm_time = started.elapsed();

@@ -3,12 +3,14 @@
 //! Collects multiplexed counter data for HiBench `wordcount` on the
 //! simulated Haswell-E PMU, cleans it, trains SGBRT performance models
 //! with Event Importance Refinement, and prints the top events and
-//! interaction pairs.
+//! interaction pairs. Finally it ingests the cleaned runs into a
+//! `.cmstore` file, which a later `analyze_with_store` resumes from.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use cm_ml::SgbrtConfig;
 use cm_sim::Benchmark;
+use cm_store::Store;
 use counterminer::{CounterMiner, ImportanceConfig, MinerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..MinerConfig::default()
     };
 
-    let mut miner = CounterMiner::new(config);
+    let miner = CounterMiner::new(config);
     println!("analyzing {} ...", Benchmark::Wordcount);
     let report = miner.analyze(Benchmark::Wordcount)?;
 
@@ -69,9 +71,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    let path = std::env::temp_dir().join("counterminer_quickstart.cmstore");
+    let mut store = Store::open(&path)?;
+    let ingest = miner.ingest(Benchmark::Wordcount, &mut store)?;
     println!(
-        "\nruns stored in the two-level database: {}",
-        miner.database().run_count()
+        "\nstore {}: {} run(s) x {} events ({})",
+        path.display(),
+        ingest.runs,
+        ingest.events,
+        if ingest.resumed {
+            "resumed"
+        } else {
+            "collected and cleaned"
+        }
     );
     Ok(())
 }

@@ -87,7 +87,7 @@ fn pipeline_survives_store_faults() {
     for seed in 0..SEEDS {
         let path = dir.join(format!("p{seed}.cmstore"));
         let fs = Arc::new(FaultFs::new(seed));
-        let mut miner = CounterMiner::new(tiny_config(seed));
+        let miner = CounterMiner::new(tiny_config(seed));
 
         let outcome = (|| {
             let mut store = Store::open_with_vfs(&path, CacheConfig::default(), fs.clone())?;
@@ -155,7 +155,7 @@ fn chaotic_cold_run_never_poisons_a_clean_rerun() {
     for seed in [3u64, 17, 29, 41] {
         let path = dir.join(format!("r{seed}.cmstore"));
         let fs = Arc::new(FaultFs::new(seed));
-        let mut miner = CounterMiner::new(tiny_config(0));
+        let miner = CounterMiner::new(tiny_config(0));
         // Cold run under fire; the outcome does not matter.
         let _ = (|| {
             let mut store = Store::open_with_vfs(&path, CacheConfig::default(), fs.clone())?;
@@ -167,13 +167,13 @@ fn chaotic_cold_run_never_poisons_a_clean_rerun() {
         // must match an untouched baseline.
         let rerun = (|| {
             let mut store = Store::open(&path)?;
-            let mut miner = CounterMiner::new(tiny_config(0));
+            let miner = CounterMiner::new(tiny_config(0));
             miner.analyze_with_store(Benchmark::Sort, &mut store)
         })();
         match rerun {
             Err(_) => {} // typed corruption surfaced: acceptable
             Ok(report) => {
-                let mut baseline_miner = CounterMiner::new(tiny_config(0));
+                let baseline_miner = CounterMiner::new(tiny_config(0));
                 let baseline = baseline_miner.analyze(Benchmark::Sort).unwrap();
                 assert_eq!(
                     report.eir.ranking, baseline.eir.ranking,

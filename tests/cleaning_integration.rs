@@ -95,36 +95,3 @@ fn ocoe_runs_need_no_cleaning() {
         assert_eq!(report.missing_filled, 0);
     }
 }
-
-#[test]
-fn streaming_cleaner_tracks_offline_cleaner_on_simulated_runs() {
-    use counterminer::{CleanerConfig, StreamingCleaner};
-
-    let catalog = EventCatalog::haswell();
-    let pmu = PmuConfig::default();
-    let workload = Workload::new(Benchmark::Wordcount, &catalog);
-    let events = workload.top_event_ids(&catalog, 16);
-    let icm = catalog.by_abbrev(abbrev::ICM).unwrap().id();
-    let run = pmu.simulate_mlpx(&workload, &events, 0, 21);
-    let dirty = run.record.series(icm).unwrap();
-
-    // Offline cleaning (the paper's pipeline).
-    let cleaner = DataCleaner::default();
-    let (_, offline_report) = cleaner.clean_series(dirty).unwrap();
-
-    // Streaming cleaning of the same series.
-    let mut stream = StreamingCleaner::new(CleanerConfig::default(), 48);
-    for v in dirty.iter() {
-        stream.push(v);
-    }
-
-    // Online must catch a comparable amount of dirt — at least half of
-    // what the offline cleaner (which sees the whole series) found.
-    let offline_total = offline_report.outliers_replaced + offline_report.missing_filled;
-    let online_total = stream.outliers_replaced() + stream.missing_filled();
-    assert!(offline_total > 0, "nothing to clean in this run?");
-    assert!(
-        online_total * 2 >= offline_total,
-        "online {online_total} vs offline {offline_total}"
-    );
-}

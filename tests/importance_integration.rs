@@ -30,7 +30,7 @@ fn config(seed: u64) -> MinerConfig {
 fn dominant_profile_events_surface() {
     // Sort has two clearly dominant events (ORO, IDU): at least one must
     // make the recovered top-3 from 30 measured events.
-    let mut miner = CounterMiner::new(config(2));
+    let miner = CounterMiner::new(config(2));
     let report = miner.analyze(Benchmark::Sort).unwrap();
     let top3: Vec<&str> = report
         .eir
@@ -49,7 +49,7 @@ fn dominant_profile_events_surface() {
 fn one_three_smi_law_holds() {
     // The leading events' importance clearly exceeds the mid-ranking
     // tail (the paper's one-three SMI law).
-    let mut miner = CounterMiner::new(config(3));
+    let miner = CounterMiner::new(config(3));
     let report = miner.analyze(Benchmark::Wordcount).unwrap();
     let ranking = &report.eir.ranking;
     let head = ranking[0].1;
@@ -66,7 +66,7 @@ fn one_three_smi_law_holds() {
 
 #[test]
 fn eir_curve_records_every_iteration_and_mapm_is_best() {
-    let mut miner = CounterMiner::new(config(4));
+    let miner = CounterMiner::new(config(4));
     let report = miner.analyze(Benchmark::Kmeans).unwrap();
     let errors: Vec<f64> = report.eir.iterations.iter().map(|i| i.error).collect();
     let best = report.eir.best_error();
@@ -81,7 +81,7 @@ fn noise_events_lose_to_dominant_events() {
     // Measure a set containing both the benchmark profile and known
     // ground-truth noise events: the noise events must not out-rank the
     // dominant profile event.
-    let mut miner = CounterMiner::new(config(5));
+    let miner = CounterMiner::new(config(5));
     let report = miner.analyze(Benchmark::Aggregation).unwrap();
     let catalog = miner.catalog();
     let noise: Vec<EventId> = global_noise_events(catalog);

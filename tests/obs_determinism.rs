@@ -49,7 +49,7 @@ fn analyze_with_threads(threads: usize) -> (Snapshot, Vec<(f64, f64)>) {
     cm_par::set_max_threads(threads);
     // Drop anything a previous run left behind, then collect fresh.
     Registry::global().drain();
-    let mut miner = CounterMiner::new(tiny_config());
+    let miner = CounterMiner::new(tiny_config());
     let report = miner.analyze(Benchmark::Sort).unwrap();
     let curve: Vec<(f64, f64)> = report
         .eir
@@ -116,7 +116,7 @@ fn json_report_carries_the_eir_curve() {
     cm_par::set_max_threads(0);
     Registry::global().drain();
 
-    let mut miner = CounterMiner::new(tiny_config());
+    let miner = CounterMiner::new(tiny_config());
     let report = miner.analyze(Benchmark::Scan).unwrap();
     let snap = Registry::global().drain();
     cm_obs::set_mode(Mode::Off);
@@ -157,7 +157,7 @@ fn off_mode_records_nothing() {
     let _guard = serialized();
     cm_obs::set_mode(Mode::Off);
     Registry::global().drain();
-    let mut miner = CounterMiner::new(tiny_config());
+    let miner = CounterMiner::new(tiny_config());
     miner.analyze(Benchmark::Join).unwrap();
     let snap = Registry::global().drain();
     assert!(snap.counters.is_empty());

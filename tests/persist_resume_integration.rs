@@ -66,7 +66,7 @@ fn warm_run_skips_collection_and_cleaning_bit_identically() {
     // Cold run: collect, clean, persist, model.
     Registry::global().drain();
     let mut store = Store::open(&path).unwrap();
-    let mut miner = CounterMiner::new(tiny_config());
+    let miner = CounterMiner::new(tiny_config());
     let cold = miner
         .analyze_with_store(Benchmark::Wordcount, &mut store)
         .unwrap();
@@ -76,7 +76,7 @@ fn warm_run_skips_collection_and_cleaning_bit_identically() {
     // the original handle, i.e. come from the bytes on disk.
     drop(store);
     let mut store = Store::open(&path).unwrap();
-    let mut miner = CounterMiner::new(tiny_config());
+    let miner = CounterMiner::new(tiny_config());
     let warm = miner
         .analyze_with_store(Benchmark::Wordcount, &mut store)
         .unwrap();
@@ -122,7 +122,7 @@ fn warm_run_skips_collection_and_cleaning_bit_identically() {
     );
 
     // And both agree exactly with the store-less in-memory pipeline.
-    let mut plain = CounterMiner::new(tiny_config());
+    let plain = CounterMiner::new(tiny_config());
     let baseline = plain.analyze(Benchmark::Wordcount).unwrap();
     assert_eq!(rankings(&baseline), rankings(&warm));
     assert_eq!(baseline.outliers_replaced, warm.outliers_replaced);
@@ -136,7 +136,7 @@ fn ingest_then_analyze_resumes_and_one_store_hosts_many_benchmarks() {
     let path = temp_store("multi");
 
     let mut store = Store::open(&path).unwrap();
-    let mut miner = CounterMiner::new(tiny_config());
+    let miner = CounterMiner::new(tiny_config());
     let first = miner.ingest(Benchmark::Sort, &mut store).unwrap();
     assert!(!first.resumed);
     assert_eq!(first.runs, 1);
@@ -169,7 +169,7 @@ fn ingest_then_analyze_resumes_and_one_store_hosts_many_benchmarks() {
 
     // A changed collection knob misses and re-collects rather than
     // serving stale data.
-    let mut reseeded = CounterMiner::new(MinerConfig {
+    let reseeded = CounterMiner::new(MinerConfig {
         seed: 7,
         ..tiny_config()
     });

@@ -1,53 +1,62 @@
-//! Store integration: simulated runs survive a save/load round trip
-//! bit-for-bit, and the first-level summaries mirror what was collected.
+//! Store integration: simulated runs survive a commit and reopen of a
+//! `.cmstore` file bit-for-bit, and the first-level summaries mirror what
+//! was collected.
 
 use cm_events::{EventId, SampleMode};
-use cm_sim::{Benchmark, PmuConfig, Workload};
-use cm_store::Database;
+use cm_sim::{Benchmark, PmuConfig, SimRun, Workload};
+use cm_store::{RunId, Store};
 use counterminer::collector;
 use std::path::PathBuf;
 
-fn temp_dir(tag: &str) -> PathBuf {
+fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("counterminer_it_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("runs.cmstore")
+}
+
+fn append(store: &mut Store, runs: &[SimRun]) {
+    for run in runs {
+        store.append_run(&run.record).unwrap();
+    }
 }
 
 #[test]
 fn simulated_runs_round_trip_through_disk() {
     let catalog = cm_events::EventCatalog::haswell();
     let pmu = PmuConfig::default();
-    let mut db = Database::new();
+    let path = temp_store("roundtrip");
+    let mut store = Store::open(&path).unwrap();
 
+    let mut collected = Vec::new();
     for benchmark in [Benchmark::Wordcount, Benchmark::WebServing] {
         let workload = Workload::new(benchmark, &catalog);
         let events = workload.top_event_ids(&catalog, 8);
         let mlpx = collector::collect_runs(&workload, &events, SampleMode::Mlpx, 2, &pmu, 1);
         let ocoe = collector::collect_runs(&workload, &events, SampleMode::Ocoe, 1, &pmu, 1);
-        collector::store_runs(&mut db, &mlpx).unwrap();
-        collector::store_runs(&mut db, &ocoe).unwrap();
+        append(&mut store, &mlpx);
+        append(&mut store, &ocoe);
+        collected.extend(mlpx.into_iter().chain(ocoe).map(|run| run.record));
     }
-    assert_eq!(db.run_count(), 6);
+    store.commit().unwrap();
 
-    let dir = temp_dir("roundtrip");
-    db.save_to_dir(&dir).unwrap();
-    let loaded = Database::load_from_dir(&dir).unwrap();
-    assert_eq!(loaded.run_count(), db.run_count());
-
-    for (key, run) in db.iter() {
+    let loaded = Store::open(&path).unwrap();
+    assert_eq!(loaded.run_ids().count(), 6);
+    for run in &collected {
+        let id = RunId::new(run.program(), run.run_index(), run.mode());
         let got = loaded
-            .run(&key.program, key.run_index, key.mode)
-            .unwrap_or_else(|| panic!("missing {key:?}"));
+            .read_run(&id)
+            .unwrap_or_else(|e| panic!("missing {id:?}: {e}"));
         assert_eq!(got.exec_time_secs(), run.exec_time_secs());
         for (event, series) in run.iter() {
             assert_eq!(
                 got.series(event).unwrap(),
                 series,
-                "{key:?} event {event} series drifted"
+                "{id:?} event {event} series drifted"
             );
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -57,13 +66,17 @@ fn summaries_reflect_collected_runs() {
     let workload = Workload::new(Benchmark::Scan, &catalog);
     let events = workload.top_event_ids(&catalog, 5);
     let runs = collector::collect_runs(&workload, &events, SampleMode::Mlpx, 3, &pmu, 2);
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &runs).unwrap();
+    let path = temp_store("summary");
+    let mut store = Store::open(&path).unwrap();
+    append(&mut store, &runs);
+    store.commit().unwrap();
 
-    let summary = db.summary("scan").unwrap();
+    let summary = Store::open(&path).unwrap().summary("scan").unwrap();
     assert_eq!(summary.run_count, 3);
     assert_eq!(summary.events.len(), 5);
     assert_eq!(summary.table_names.len(), 3);
+    let exec_times: Vec<f64> = runs.iter().map(|r| r.record.exec_time_secs()).collect();
+    assert_eq!(summary.exec_times_secs, exec_times);
     assert!(summary.exec_times_secs.iter().all(|&t| t > 0.0));
     // The events recorded are exactly the measured set.
     let expected: Vec<EventId> = {
@@ -72,6 +85,7 @@ fn summaries_reflect_collected_runs() {
         v
     };
     assert_eq!(summary.events, expected);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -89,16 +103,18 @@ fn variable_length_series_are_preserved() {
         "expected length jitter, got {lens:?}"
     );
 
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &runs).unwrap();
-    let dir = temp_dir("lengths");
-    db.save_to_dir(&dir).unwrap();
-    let loaded = Database::load_from_dir(&dir).unwrap();
+    let path = temp_store("lengths");
+    let mut store = Store::open(&path).unwrap();
+    append(&mut store, &runs);
+    store.commit().unwrap();
+    let loaded = Store::open(&path).unwrap();
     for (i, run) in runs.iter().enumerate() {
-        let got = loaded.run("bayes", i as u32, SampleMode::Ocoe).unwrap();
+        let got = loaded
+            .read_run(&RunId::new("bayes", i as u32, SampleMode::Ocoe))
+            .unwrap();
         for (event, series) in run.record.iter() {
             assert_eq!(got.series(event).unwrap().len(), series.len());
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
 }
