@@ -3,9 +3,9 @@
 //! One module per table/figure of the paper's evaluation (Section V).
 //! Every module exposes `run(&ExpConfig) -> …Result` returning a
 //! structured result that implements `Display`, printing the same rows
-//! or series the paper reports. Thin binaries under `src/bin/` wrap each
-//! module; `all_experiments` runs everything and writes
-//! `EXPERIMENTS-results.txt`.
+//! or series the paper reports. [`experiments::REGISTRY`] names each
+//! module by id; the `experiment <id>|all` binary runs one or all of
+//! them, and `all` writes `EXPERIMENTS-results.txt`.
 //!
 //! Results never match the paper's absolute numbers (our substrate is a
 //! simulator, not a Xeon cluster); the *shape* — who wins, by what

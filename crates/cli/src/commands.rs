@@ -6,7 +6,7 @@ use cm_load::{
     chaos_sweep, prepare_store, run_workload, saturation_sweep, LoadReport, LoopMode, RunMetrics,
     Workload as LoadWorkload,
 };
-use cm_ml::{SgbrtConfig, Trainer};
+use cm_ml::SgbrtConfig;
 use cm_serve::{Pending, Request, Response, ServeConfig, Server, ServerHandle};
 use cm_sim::{Benchmark, PmuConfig, SparkParam, SparkStudy, Workload, ALL_BENCHMARKS};
 use cm_store::{RunId, SeriesKey, Store};
@@ -52,10 +52,6 @@ COMMANDS:
   analyze <benchmark> [--events N]  the full pipeline: importance and
         [--runs N] [--trees N]      interaction rankings
         [--seed S] [--store FILE]
-        [--trainer exact|hist]      GBRT split search: exact thresholds
-                                    or histogram bins (default: hist;
-                                    the CM_TRAINER environment variable
-                                    also works)
         [--cleaner point|bayes]     reconstruction estimator: point
                                     (default) or bayes, which attaches a
                                     variance to every reconstructed
@@ -477,10 +473,6 @@ fn miner_config(args: &Args) -> Result<MinerConfig, ArgError> {
     let runs: usize = args.get_num("runs", 2)?;
     let trees: usize = args.get_num("trees", 80)?;
     let seed: u64 = args.get_num("seed", 0)?;
-    let trainer: Trainer = match args.get("trainer") {
-        Some(s) => s.parse().map_err(|e| ArgError(format!("{e}")))?,
-        None => Trainer::default(),
-    };
     let cleaner: CleanerKind = match args.get("cleaner") {
         Some(s) => s.parse().map_err(|e| ArgError(format!("{e}")))?,
         None => CleanerKind::default(),
@@ -492,7 +484,6 @@ fn miner_config(args: &Args) -> Result<MinerConfig, ArgError> {
         importance: ImportanceConfig {
             sgbrt: SgbrtConfig {
                 n_trees: trees,
-                trainer,
                 ..SgbrtConfig::default()
             },
             seed,
@@ -1505,7 +1496,6 @@ mod tests {
             "usage missing --chaos-seeds"
         );
         assert!(USAGE.contains("--threads"), "usage missing --threads");
-        assert!(USAGE.contains("--trainer"), "usage missing --trainer");
         assert!(USAGE.contains("--metrics"), "usage missing --metrics");
         assert!(USAGE.contains("--cleaner"), "usage missing --cleaner");
         assert!(USAGE.contains("CM_CLEANER"), "usage missing CM_CLEANER");
@@ -1552,17 +1542,5 @@ mod tests {
         let err = analyze(&args).unwrap_err().to_string();
         assert!(err.contains("point"), "unexpected error: {err}");
         assert!(err.contains("bayes"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn analyze_rejects_unknown_trainer() {
-        let args = crate::args::Args::parse(
-            ["analyze", "sort", "--trainer", "warp"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap();
-        let err = analyze(&args).unwrap_err().to_string();
-        assert!(err.contains("exact"), "unexpected error: {err}");
     }
 }

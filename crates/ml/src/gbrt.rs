@@ -11,50 +11,29 @@ const PREDICT_CHUNK: usize = 64;
 /// # Examples
 ///
 /// ```
-/// use cm_ml::Trainer;
+/// use cm_ml::{SgbrtConfig, Trainer};
 ///
-/// assert_eq!("hist".parse::<Trainer>().unwrap(), Trainer::Hist);
-/// assert_eq!("EXACT".parse::<Trainer>().unwrap(), Trainer::Exact);
-/// assert!("warp".parse::<Trainer>().is_err());
+/// assert_eq!(Trainer::default(), Trainer::Hist);
+/// // The exact trainer is the oracle the hist trainer is checked against.
+/// let oracle = SgbrtConfig {
+///     trainer: Trainer::Exact,
+///     ..SgbrtConfig::default()
+/// };
+/// assert_eq!(oracle.trainer, Trainer::Exact);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Trainer {
     /// Presorted exact search: every distinct value is a candidate
-    /// threshold, O(rows) per feature per node.
+    /// threshold, O(rows) per feature per node. Slower than `Hist` and
+    /// kept as the oracle it is tested against.
     Exact,
     /// Histogram-binned search (the default): features are quantized
     /// once into ≤ [`MAX_BINS`] bins, nodes scan O(bins) candidates over
     /// gradient histograms, and sibling histograms are derived by
     /// subtraction. Same objective, near-identical models, much faster
     /// on EIR-sized data.
+    #[default]
     Hist,
-}
-
-impl Default for Trainer {
-    /// `Hist`, unless the `CM_TRAINER` environment variable says
-    /// `exact` — the knob the CI feature matrix (and a cautious user)
-    /// flips without touching code.
-    fn default() -> Self {
-        static ENV: std::sync::OnceLock<Trainer> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("CM_TRAINER").as_deref() {
-            Ok(v) if v.eq_ignore_ascii_case("exact") => Trainer::Exact,
-            _ => Trainer::Hist,
-        })
-    }
-}
-
-impl std::str::FromStr for Trainer {
-    type Err = MlError;
-
-    fn from_str(s: &str) -> Result<Self, MlError> {
-        if s.eq_ignore_ascii_case("exact") {
-            Ok(Trainer::Exact)
-        } else if s.eq_ignore_ascii_case("hist") {
-            Ok(Trainer::Hist)
-        } else {
-            Err(MlError::InvalidConfig("trainer must be `exact` or `hist`"))
-        }
-    }
 }
 
 /// Configuration for the stochastic gradient boosted ensemble
@@ -877,13 +856,6 @@ mod tests {
         .fit(&data)
         .unwrap();
         model.predict_batch_flat(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn trainer_parses_and_rejects() {
-        assert_eq!("exact".parse::<Trainer>().unwrap(), Trainer::Exact);
-        assert_eq!("HIST".parse::<Trainer>().unwrap(), Trainer::Hist);
-        assert!("fast".parse::<Trainer>().is_err());
     }
 
     #[test]

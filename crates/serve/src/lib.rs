@@ -10,22 +10,36 @@
 //! [`Transport`] trait, so a socket server can slot in later without
 //! touching the scheduling core.
 //!
-//! # Scheduling: batching and deduplication
+//! # Scheduling: one single-flight path
 //!
 //! The perf story is the scheduler (see [`ServeConfig::batching`]).
 //! Requests are drained from the submission channel in batches and
-//! *coalesced* before execution:
+//! grouped by what they would compute; each group runs *one*
+//! computation and answers every waiter from it:
 //!
 //! * concurrent [`Request::Query`]s against the same store merge into a
 //!   single [`Store::read_series_batch`] call — one pass of region
 //!   coalescing, positioned reads, and parallel decode for the whole
-//!   group instead of one small read per request;
+//!   group instead of one small read per request. Observable as
+//!   `serve.batch.coalesced`;
 //! * concurrent [`Request::Analyze`] / [`Request::Ranked`] requests for
 //!   the same `(store, benchmark)` — which share a snapshot fingerprint
 //!   under the server's single miner configuration — are deduplicated:
 //!   one leader computes the analysis, every waiter receives the same
-//!   [`RankedAnalysis`] behind an [`Arc`](std::sync::Arc). Observable
-//!   as `serve.dedup.hits`.
+//!   [`RankedAnalysis`] behind an [`Arc`](std::sync::Arc), and a
+//!   `Ranked` waiter its top-k slice of it;
+//! * identical concurrent [`Request::Cluster`] requests share one
+//!   clustering and its report. Analysis and cluster riders are
+//!   observable as `serve.dedup.hits`.
+//!
+//! [`Request::Ping`], [`Request::Info`], [`Request::Ingest`],
+//! [`Request::StreamAppend`], [`Request::Subscribe`] and
+//! [`Request::Poll`] never group; they run one by one in arrival order.
+//! With batching off, every request is a group of one on the same path.
+//!
+//! A query's result never depends on its neighbours: if the group's
+//! batched read fails (say, one names a series the store lacks), each
+//! query is answered from its own read, exactly as unbatched.
 //!
 //! All stores share one [`BlockCache`](cm_store::BlockCache) (via
 //! [`Store::open_with_cache`]), so hot blocks are cached once per

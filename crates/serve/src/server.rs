@@ -8,7 +8,7 @@ use cm_obs::{span_enter_detached, span_enter_under, SpanGuard, SpanHandle};
 use cm_sim::Benchmark;
 use cm_store::{BlockCache, CacheConfig, CacheStats, SeriesKey, Store, StoreError, Vfs};
 use cm_stream::{RankSummary, StreamConfig, StreamError, StreamSession};
-use counterminer::{ClusterConfig, ClusterReport, CmError, CounterMiner, MinerConfig};
+use counterminer::{ClusterReport, CmError, CounterMiner, MinerConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -26,9 +26,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Most requests drained into one scheduling batch.
     pub max_batch: usize,
-    /// Whether to coalesce queries and deduplicate analyses. `false`
-    /// executes every request individually — the baseline the load
-    /// harness compares against.
+    /// Whether to coalesce queries and deduplicate analyses and
+    /// clusterings. `false` executes every request individually, as a
+    /// group of one — the baseline the load harness compares against.
     pub batching: bool,
     /// How long the scheduler waits after the first request of a batch
     /// for more to arrive. Zero (the default) only drains what is
@@ -95,7 +95,7 @@ pub struct ServeStats {
     /// Query requests that rode along in a batched store read instead
     /// of issuing their own (`group size - 1`, summed).
     pub batch_coalesced: u64,
-    /// Analyze/ranked requests answered from another request's
+    /// Analyze/ranked/cluster requests answered from another request's
     /// computation (`group size - 1`, summed).
     pub dedup_hits: u64,
 }
@@ -525,32 +525,147 @@ impl Pending {
     }
 }
 
-/// One unit handed to the worker pool: either a coalesced group or a
-/// run of individually-executed requests.
-enum Job {
-    /// Executed one by one (pings, infos, ingests — and *everything*
-    /// when batching is off).
-    Singles(Vec<ReqEnvelope>),
-    /// Queries against one store, answered by a single batched read.
-    QueryBatch {
-        store: String,
-        envs: Vec<ReqEnvelope>,
-    },
+/// What the requests of one single-flight group share. Requests with
+/// equal keys in one drained batch are answered by one computation.
+#[derive(Debug, PartialEq)]
+enum FlightKey {
+    /// Queries against one store, answered by one batched read.
+    Query { store: String },
     /// Analyze/ranked requests sharing `(store, benchmark)`, answered
-    /// by a single analysis.
-    AnalysisGroup {
-        store: String,
-        benchmark: cm_sim::Benchmark,
-        envs: Vec<ReqEnvelope>,
-    },
-    /// Identical cluster requests (same store, benchmark list, and
-    /// configuration), answered by a single clustering.
-    ClusterGroup {
-        store: String,
-        benchmarks: Vec<Benchmark>,
-        config: ClusterConfig,
-        envs: Vec<ReqEnvelope>,
-    },
+    /// by one analysis.
+    Analysis { store: String, benchmark: Benchmark },
+    /// Identical cluster requests, answered by one clustering. The key
+    /// is the request itself: cluster configs hold floats, so equality
+    /// stands in for a hash — batches are small.
+    Cluster(Request),
+}
+
+/// What one flight computed, shared by every waiter of the group.
+enum Flight {
+    /// One result per query, in group order: a missing series fails
+    /// only the query that named it.
+    Series(Vec<Result<Arc<Vec<f64>>, ServeError>>),
+    Analysis(Arc<RankedAnalysis>),
+    Cluster(Arc<ClusterReport>),
+}
+
+impl FlightKey {
+    /// The group `req` joins, or `None` for the kinds that always run
+    /// on their own.
+    fn of(req: &Request) -> Option<FlightKey> {
+        match req {
+            Request::Query { store, .. } => Some(FlightKey::Query {
+                store: store.clone(),
+            }),
+            Request::Analyze { store, benchmark }
+            | Request::Ranked {
+                store, benchmark, ..
+            } => Some(FlightKey::Analysis {
+                store: store.clone(),
+                benchmark: *benchmark,
+            }),
+            Request::Cluster { .. } => Some(FlightKey::Cluster(req.clone())),
+            Request::Ping
+            | Request::Info { .. }
+            | Request::Ingest { .. }
+            | Request::StreamAppend { .. }
+            | Request::Subscribe { .. }
+            | Request::Poll { .. } => None,
+        }
+    }
+
+    /// The order groups are handed to the pool within one batch:
+    /// cheap queries first, then analyses, then clusterings.
+    fn rank(&self) -> u8 {
+        match self {
+            FlightKey::Query { .. } => 0,
+            FlightKey::Analysis { .. } => 1,
+            FlightKey::Cluster(_) => 2,
+        }
+    }
+
+    fn span_name(&self) -> &'static str {
+        match self {
+            FlightKey::Query { .. } => "serve.exec.query_batch",
+            FlightKey::Analysis { .. } => "serve.exec.analyze",
+            FlightKey::Cluster(_) => "serve.exec.cluster",
+        }
+    }
+
+    /// Runs the group's one computation for its waiting `envs`.
+    fn compute(&self, shared: &Shared, envs: &[ReqEnvelope]) -> Result<Flight, ServeError> {
+        match self {
+            FlightKey::Query { store } => {
+                let keys: Vec<SeriesKey> = envs
+                    .iter()
+                    .map(|env| match &env.req {
+                        Request::Query { key, .. } => key.clone(),
+                        _ => unreachable!("query group holds only queries"),
+                    })
+                    .collect();
+                let handle = shared.store(store)?;
+                let guard = handle.read().unwrap_or_else(|e| e.into_inner());
+                // One failing key fails the whole batched read; then
+                // each query is answered from its own read, so its
+                // result never depends on its neighbours in the group.
+                let series = match guard.read_series_batch(&keys) {
+                    Ok(series) => series.into_iter().map(Ok).collect(),
+                    Err(_) => keys
+                        .iter()
+                        .map(|key| guard.read_series(key).map_err(store_err))
+                        .collect(),
+                };
+                Ok(Flight::Series(series))
+            }
+            FlightKey::Analysis { store, benchmark } => {
+                let fingerprint = shared.miner.snapshot_fingerprint(*benchmark);
+                let analysis = warm_or_ingest(shared, store, &[*benchmark], |guard| {
+                    let report = shared.miner.analyze_snapshot(*benchmark, guard)?;
+                    Ok(report.map(|r| RankedAnalysis::from_report(&r, fingerprint)))
+                })?;
+                Ok(Flight::Analysis(Arc::new(analysis)))
+            }
+            FlightKey::Cluster(req) => {
+                let Request::Cluster {
+                    store,
+                    benchmarks,
+                    config,
+                } = req
+                else {
+                    unreachable!("cluster key holds a cluster request");
+                };
+                let report = warm_or_ingest(shared, store, benchmarks, |guard| {
+                    shared.miner.cluster_snapshot(benchmarks, guard, config)
+                })?;
+                Ok(Flight::Cluster(Arc::new(report)))
+            }
+        }
+    }
+}
+
+impl Flight {
+    /// The response for the `i`-th waiter of the group, which sent `req`.
+    fn answer(&self, i: usize, req: &Request) -> Result<Response, ServeError> {
+        match (self, req) {
+            (Flight::Series(series), _) => series[i].clone().map(Response::Series),
+            (Flight::Analysis(analysis), Request::Ranked { top_k, .. }) => {
+                let k = (*top_k).min(analysis.ranking.len());
+                Ok(Response::Ranked(analysis.ranking[..k].to_vec()))
+            }
+            (Flight::Analysis(analysis), _) => Ok(Response::Analysis(Arc::clone(analysis))),
+            (Flight::Cluster(report), _) => Ok(Response::Clustered(Arc::clone(report))),
+        }
+    }
+}
+
+/// One unit handed to the worker pool.
+enum Job {
+    /// Executed one by one, in arrival order (pings, infos, ingests,
+    /// stream appends, subscribes and polls).
+    Singles(Vec<ReqEnvelope>),
+    /// A single-flight group: one computation answers every waiter.
+    /// Without batching, every group has one member.
+    Flight(FlightKey, Vec<ReqEnvelope>),
 }
 
 struct Scheduler {
@@ -637,87 +752,39 @@ impl Scheduler {
 
         if !self.batching {
             for env in batch {
-                let _ = job_tx.send(Job::Singles(vec![env]));
+                let job = match FlightKey::of(&env.req) {
+                    Some(key) => Job::Flight(key, vec![env]),
+                    None => Job::Singles(vec![env]),
+                };
+                let _ = job_tx.send(job);
             }
             return;
         }
 
         let mut singles: Vec<ReqEnvelope> = Vec::new();
-        let mut queries: HashMap<String, Vec<ReqEnvelope>> = HashMap::new();
-        let mut analyses: HashMap<(String, cm_sim::Benchmark), Vec<ReqEnvelope>> = HashMap::new();
-        // Cluster configs hold floats, so the dedup key is request
-        // equality rather than a hash — batches are small.
-        let mut clusters: Vec<(Request, Vec<ReqEnvelope>)> = Vec::new();
+        let mut flights: Vec<(FlightKey, Vec<ReqEnvelope>)> = Vec::new();
         for env in batch {
-            match &env.req {
-                Request::Query { store, .. } => {
-                    queries.entry(store.clone()).or_default().push(env);
-                }
-                Request::Analyze { store, benchmark }
-                | Request::Ranked {
-                    store, benchmark, ..
-                } => {
-                    analyses
-                        .entry((store.clone(), *benchmark))
-                        .or_default()
-                        .push(env);
-                }
-                Request::Cluster { .. } => {
-                    match clusters.iter_mut().find(|(req, _)| *req == env.req) {
-                        Some((_, envs)) => envs.push(env),
-                        None => clusters.push((env.req.clone(), vec![env])),
-                    }
-                }
-                Request::Ping
-                | Request::Info { .. }
-                | Request::Ingest { .. }
-                | Request::StreamAppend { .. }
-                | Request::Subscribe { .. }
-                | Request::Poll { .. } => {
-                    singles.push(env);
-                }
-            }
-        }
-        for (store, envs) in queries {
-            if envs.len() > 1 {
-                let extra = (envs.len() - 1) as u64;
-                stats.batch_coalesced.fetch_add(extra, Ordering::Relaxed);
-                cm_obs::counter_add("serve.batch.coalesced", extra);
-            }
-            let _ = job_tx.send(Job::QueryBatch { store, envs });
-        }
-        for ((store, benchmark), envs) in analyses {
-            if envs.len() > 1 {
-                let extra = (envs.len() - 1) as u64;
-                stats.dedup_hits.fetch_add(extra, Ordering::Relaxed);
-                cm_obs::counter_add("serve.dedup.hits", extra);
-            }
-            let _ = job_tx.send(Job::AnalysisGroup {
-                store,
-                benchmark,
-                envs,
-            });
-        }
-        for (req, envs) in clusters {
-            if envs.len() > 1 {
-                let extra = (envs.len() - 1) as u64;
-                stats.dedup_hits.fetch_add(extra, Ordering::Relaxed);
-                cm_obs::counter_add("serve.dedup.hits", extra);
-            }
-            let Request::Cluster {
-                store,
-                benchmarks,
-                config,
-            } = req
-            else {
-                unreachable!("cluster group holds only cluster requests");
+            let Some(key) = FlightKey::of(&env.req) else {
+                singles.push(env);
+                continue;
             };
-            let _ = job_tx.send(Job::ClusterGroup {
-                store,
-                benchmarks,
-                config,
-                envs,
-            });
+            match flights.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, envs)) => envs.push(env),
+                None => flights.push((key, vec![env])),
+            }
+        }
+        flights.sort_by_key(|(key, _)| key.rank());
+        for (key, envs) in flights {
+            let extra = (envs.len() - 1) as u64;
+            if extra > 0 {
+                let (stat, name) = match key {
+                    FlightKey::Query { .. } => (&stats.batch_coalesced, "serve.batch.coalesced"),
+                    _ => (&stats.dedup_hits, "serve.dedup.hits"),
+                };
+                stat.fetch_add(extra, Ordering::Relaxed);
+                cm_obs::counter_add(name, extra);
+            }
+            let _ = job_tx.send(Job::Flight(key, envs));
         }
         if !singles.is_empty() {
             let _ = job_tx.send(Job::Singles(singles));
@@ -758,87 +825,17 @@ fn run_job(shared: &Shared, job: Job) {
                 respond(shared, &env.reply, result);
             }
         }
-        Job::QueryBatch { store, envs } => {
-            let _exec = exec_span(&envs[0].parent, "serve.exec.query_batch");
-            let keys: Vec<SeriesKey> = envs
-                .iter()
-                .map(|env| match &env.req {
-                    Request::Query { key, .. } => key.clone(),
-                    _ => unreachable!("query batch holds only queries"),
-                })
-                .collect();
-            let result = flatten_panic(catch_unwind(AssertUnwindSafe(|| {
-                let handle = shared.store(&store)?;
-                let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-                guard.read_series_batch(&keys).map_err(store_err)
+        Job::Flight(key, envs) => {
+            let _exec = exec_span(&envs[0].parent, key.span_name());
+            let flight = flatten_panic(catch_unwind(AssertUnwindSafe(|| {
+                key.compute(shared, &envs)
             })));
-            match result {
-                Ok(series) => {
-                    for (env, values) in envs.iter().zip(series) {
-                        respond(shared, &env.reply, Ok(Response::Series(values)));
-                    }
-                }
-                Err(e) => {
-                    for env in &envs {
-                        respond(shared, &env.reply, Err(e.clone()));
-                    }
-                }
-            }
-        }
-        Job::AnalysisGroup {
-            store,
-            benchmark,
-            envs,
-        } => {
-            let _exec = exec_span(&envs[0].parent, "serve.exec.analyze");
-            let result = flatten_panic(catch_unwind(AssertUnwindSafe(|| {
-                compute_analysis(shared, &store, benchmark)
-            })));
-            match result {
-                Ok(analysis) => {
-                    for env in &envs {
-                        let response = match &env.req {
-                            Request::Ranked { top_k, .. } => {
-                                let k = (*top_k).min(analysis.ranking.len());
-                                Response::Ranked(analysis.ranking[..k].to_vec())
-                            }
-                            _ => Response::Analysis(Arc::clone(&analysis)),
-                        };
-                        respond(shared, &env.reply, Ok(response));
-                    }
-                }
-                Err(e) => {
-                    for env in &envs {
-                        respond(shared, &env.reply, Err(e.clone()));
-                    }
-                }
-            }
-        }
-        Job::ClusterGroup {
-            store,
-            benchmarks,
-            config,
-            envs,
-        } => {
-            let _exec = exec_span(&envs[0].parent, "serve.exec.cluster");
-            let result = flatten_panic(catch_unwind(AssertUnwindSafe(|| {
-                compute_cluster(shared, &store, &benchmarks, &config)
-            })));
-            match result {
-                Ok(report) => {
-                    for env in &envs {
-                        respond(
-                            shared,
-                            &env.reply,
-                            Ok(Response::Clustered(Arc::clone(&report))),
-                        );
-                    }
-                }
-                Err(e) => {
-                    for env in &envs {
-                        respond(shared, &env.reply, Err(e.clone()));
-                    }
-                }
+            for (i, env) in envs.iter().enumerate() {
+                let result = match &flight {
+                    Ok(flight) => flight.answer(i, &env.req),
+                    Err(e) => Err(e.clone()),
+                };
+                respond(shared, &env.reply, result);
             }
         }
     }
@@ -848,8 +845,7 @@ fn exec_span(parent: &SpanHandle, name: &str) -> SpanGuard {
     span_enter_under(parent, name.to_string())
 }
 
-/// Executes one request in isolation — the no-batching path, and the
-/// path for request kinds that never coalesce.
+/// Executes one request of a kind that never joins a flight.
 fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
     match req {
         Request::Ping => Ok(Response::Pong),
@@ -858,31 +854,10 @@ fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
             let guard = handle.read().unwrap_or_else(|e| e.into_inner());
             Ok(Response::Info(guard.info()))
         }
-        Request::Query { store, key } => {
-            let handle = shared.store(store)?;
-            let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-            guard
-                .read_series(key)
-                .map(Response::Series)
-                .map_err(store_err)
-        }
-        Request::Analyze { store, benchmark } => {
-            compute_analysis(shared, store, *benchmark).map(Response::Analysis)
-        }
-        Request::Ranked {
-            store,
-            benchmark,
-            top_k,
-        } => {
-            let analysis = compute_analysis(shared, store, *benchmark)?;
-            let k = (*top_k).min(analysis.ranking.len());
-            Ok(Response::Ranked(analysis.ranking[..k].to_vec()))
-        }
-        Request::Cluster {
-            store,
-            benchmarks,
-            config,
-        } => compute_cluster(shared, store, benchmarks, config).map(Response::Clustered),
+        Request::Query { .. }
+        | Request::Analyze { .. }
+        | Request::Ranked { .. }
+        | Request::Cluster { .. } => unreachable!("flight requests run as a Job::Flight"),
         Request::Ingest { store, benchmark } => {
             let handle = shared.store(store)?;
             let mut guard = handle.write().unwrap_or_else(|e| e.into_inner());
@@ -1007,63 +982,24 @@ fn exec_stream_append(
     Ok(Response::Appended(report))
 }
 
-/// The analysis hot path: try the warm, shared-read route first; on a
-/// cold store, ingest under the write lock, then analyze warm. Many
-/// threads analyzing different benchmarks from one store proceed in
-/// parallel on the read path.
-fn compute_analysis(
-    shared: &Shared,
-    store: &str,
-    benchmark: cm_sim::Benchmark,
-) -> Result<Arc<RankedAnalysis>, ServeError> {
-    let handle = shared.store(store)?;
-    let fingerprint = shared.miner.snapshot_fingerprint(benchmark);
-    {
-        let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(report) = shared
-            .miner
-            .analyze_snapshot(benchmark, &guard)
-            .map_err(cm_err)?
-        {
-            return Ok(Arc::new(RankedAnalysis::from_report(&report, fingerprint)));
-        }
-    }
-    {
-        let mut guard = handle.write().unwrap_or_else(|e| e.into_inner());
-        shared.miner.ingest(benchmark, &mut guard).map_err(cm_err)?;
-    }
-    let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-    match shared
-        .miner
-        .analyze_snapshot(benchmark, &guard)
-        .map_err(cm_err)?
-    {
-        Some(report) => Ok(Arc::new(RankedAnalysis::from_report(&report, fingerprint))),
-        None => Err(ServeError::Pipeline(
-            "snapshot missing immediately after ingest".to_string(),
-        )),
-    }
-}
-
-/// The cluster analogue of [`compute_analysis`]: warm, shared-read
-/// clustering from committed snapshots first; on a cold store, ingest
-/// every missing benchmark under the write lock, then cluster warm.
-fn compute_cluster(
+/// The analysis hot path: `warm` computes from the committed snapshot
+/// under the shared read lock; on a cold store (`Ok(None)`), ingest
+/// every one of `benchmarks` under the write lock, then compute warm.
+/// Many threads analyzing different benchmarks from one store proceed
+/// in parallel on the read path.
+fn warm_or_ingest<T>(
     shared: &Shared,
     store: &str,
     benchmarks: &[Benchmark],
-    config: &ClusterConfig,
-) -> Result<Arc<ClusterReport>, ServeError> {
+    warm: impl Fn(&Store) -> Result<Option<T>, CmError>,
+) -> Result<T, ServeError> {
     let handle = shared.store(store)?;
-    {
+    let warm_read = || {
         let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(report) = shared
-            .miner
-            .cluster_snapshot(benchmarks, &guard, config)
-            .map_err(cm_err)?
-        {
-            return Ok(Arc::new(report));
-        }
+        warm(&guard).map_err(cm_err)
+    };
+    if let Some(found) = warm_read()? {
+        return Ok(found);
     }
     {
         let mut guard = handle.write().unwrap_or_else(|e| e.into_inner());
@@ -1071,17 +1007,9 @@ fn compute_cluster(
             shared.miner.ingest(benchmark, &mut guard).map_err(cm_err)?;
         }
     }
-    let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-    match shared
-        .miner
-        .cluster_snapshot(benchmarks, &guard, config)
-        .map_err(cm_err)?
-    {
-        Some(report) => Ok(Arc::new(report)),
-        None => Err(ServeError::Pipeline(
-            "snapshot missing immediately after ingest".to_string(),
-        )),
-    }
+    warm_read()?.ok_or_else(|| {
+        ServeError::Pipeline("snapshot missing immediately after ingest".to_string())
+    })
 }
 
 #[cfg(test)]
@@ -1089,7 +1017,7 @@ mod tests {
     use super::*;
     use cm_events::{EventId, SampleMode};
     use cm_sim::Benchmark;
-    use counterminer::MinerConfig;
+    use counterminer::{ClusterConfig, MinerConfig};
 
     fn tiny_config() -> MinerConfig {
         let mut config = MinerConfig {
@@ -1206,17 +1134,14 @@ mod tests {
             workers: 2,
             ..ServeConfig::default()
         };
+        let query = |event: usize| Request::Query {
+            store: "main".into(),
+            key: SeriesKey::new("prog", 0, SampleMode::Mlpx, EventId::new(event)),
+        };
         let mut server = Server::new(config);
         server.add_store("main", &path).expect("register");
         let client = server.client();
-        let pendings: Vec<Pending> = (0..6)
-            .map(|event| {
-                client.submit(Request::Query {
-                    store: "main".into(),
-                    key: SeriesKey::new("prog", 0, SampleMode::Mlpx, EventId::new(event)),
-                })
-            })
-            .collect();
+        let pendings: Vec<Pending> = (0..6).map(|event| client.submit(query(event))).collect();
         let handle = server.start();
         for (event, pending) in pendings.into_iter().enumerate() {
             match pending.wait().expect("query") {
@@ -1232,6 +1157,31 @@ mod tests {
         // they form one batch: one flush, five coalesced riders.
         assert_eq!(stats.batch_flushes, 1);
         assert_eq!(stats.batch_coalesced, 5);
+
+        // The same queries with one for a series the store lacks queued
+        // in the middle: the missing key fails only its own query, and
+        // batching changes no request's result.
+        let mix = |batching: bool| -> Vec<Result<Response, ServeError>> {
+            let mut server = Server::new(ServeConfig {
+                batching,
+                workers: 2,
+                ..ServeConfig::default()
+            });
+            server.add_store("main", &path).expect("register");
+            let client = server.client();
+            let pendings: Vec<Pending> = [0, 1, 2, 99, 3, 4, 5]
+                .into_iter()
+                .map(|event| client.submit(query(event)))
+                .collect();
+            let handle = server.start();
+            let results = pendings.into_iter().map(Pending::wait).collect();
+            handle.shutdown();
+            results
+        };
+        let batched = mix(true);
+        assert_eq!(batched.iter().filter(|r| r.is_ok()).count(), 6);
+        assert!(matches!(batched[3], Err(ServeError::Store(_))));
+        assert_eq!(batched, mix(false));
         let _ = std::fs::remove_file(path);
     }
 
