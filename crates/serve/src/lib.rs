@@ -29,13 +29,33 @@
 //!   [`RankedAnalysis`] behind an [`Arc`](std::sync::Arc), and a
 //!   `Ranked` waiter its top-k slice of it;
 //! * identical concurrent [`Request::Cluster`] requests share one
-//!   clustering and its report. Analysis and cluster riders are
-//!   observable as `serve.dedup.hits`.
+//!   clustering and its report.
+//!
+//! Analyses and clusterings are also shared *across* batches, through
+//! one bounded flight table keyed on the request's key plus the store's
+//! [`Store::generation`], read under the same read lock as the snapshot:
+//!
+//! * a request whose key is already computing joins that flight when it
+//!   is dispatched;
+//! * a request whose key finished at the store's current generation is
+//!   answered from the stored [`Arc`](std::sync::Arc) — the same
+//!   allocation as every earlier answer — until any write to the store
+//!   moves its generation on;
+//! * errors and panics are never stored: every joined waiter gets the
+//!   typed error, and the next request computes afresh.
+//!
+//! Recording a result drops the store's entries from older generations,
+//! and a constant caps the table's size. Every request answered from
+//! another request's computation — a rider in the same batch, a joiner
+//! from a later one, or a hit on a finished entry — counts once in
+//! `serve.dedup.hits`; [`ServerHandle::publish_gauges`] reports the
+//! table as `serve.flight.in_flight` and `serve.flight.entries`.
 //!
 //! [`Request::Ping`], [`Request::Info`], [`Request::Ingest`],
 //! [`Request::StreamAppend`], [`Request::Subscribe`] and
 //! [`Request::Poll`] never group; they run one by one in arrival order.
-//! With batching off, every request is a group of one on the same path.
+//! With batching off, every request is a group of one on the same path
+//! and nothing is shared.
 //!
 //! A query's result never depends on its neighbours: if the group's
 //! batched read fails (say, one names a series the store lacks), each
@@ -51,13 +71,19 @@
 //!
 //! Response *payloads* are bit-identical to single-threaded execution:
 //! batching and deduplication change when work happens, never what it
-//! computes. The batch-formation counters (`serve.batch.*`,
+//! computes. A shared answer is one computed from the same store
+//! generation, so it equals a direct
+//! [`CounterMiner::analyze_snapshot`] of the snapshot the request reads. The batch-formation counters (`serve.batch.*`,
 //! `serve.dedup.*`) depend on queue timing and are scheduling-scoped,
 //! like `par.sched.*`; `serve.requests` / `serve.errors` are
 //! workload-deterministic. Request failures — unknown store, store
 //! corruption, a panicking handler — come back as typed
 //! [`ServeError`]s on the submitting client; they never take down the
-//! server or other in-flight requests.
+//! server or other in-flight requests. A handler that panics while it
+//! writes a store poisons that store's lock; the next request to touch
+//! the store reloads it from its last committed file
+//! ([`Store::reload`]) before anything reads it, and a torn stream
+//! session is dropped, to reopen from the committed stream.
 //!
 //! # Examples
 //!

@@ -31,7 +31,8 @@ pub enum Request {
     },
     /// Run (or resume) the full analysis of a benchmark from the
     /// store's persisted snapshot, collecting first if the store is
-    /// cold. Identical concurrent requests are deduplicated.
+    /// cold. Identical requests share one computation while it runs, and
+    /// its answer until the store changes.
     Analyze {
         /// Registered store name.
         store: String,
@@ -39,8 +40,8 @@ pub enum Request {
         benchmark: Benchmark,
     },
     /// Like [`Request::Analyze`], but answered with just the top `k`
-    /// of the importance ranking — piggybacks on any concurrent
-    /// analysis of the same `(store, benchmark)`.
+    /// of the importance ranking — piggybacks on any running or
+    /// still-current analysis of the same `(store, benchmark)`.
     Ranked {
         /// Registered store name.
         store: String,
@@ -52,9 +53,8 @@ pub enum Request {
     /// Run the cross-benchmark `cluster` analysis mode
     /// ([`CounterMiner::analyze_cluster`](counterminer::CounterMiner::analyze_cluster)):
     /// cluster cleaned counter signatures and flag anomalous runs,
-    /// ingesting any cold benchmark first. Identical concurrent
-    /// requests deduplicate into one computation, like
-    /// [`Request::Analyze`].
+    /// ingesting any cold benchmark first. Identical requests share one
+    /// computation and its answer, like [`Request::Analyze`].
     Cluster {
         /// Registered store name.
         store: String,

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -26,9 +26,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Most requests drained into one scheduling batch.
     pub max_batch: usize,
-    /// Whether to coalesce queries and deduplicate analyses and
-    /// clusterings. `false` executes every request individually, as a
-    /// group of one — the baseline the load harness compares against.
+    /// Whether to coalesce queries and share analyses and clusterings,
+    /// within a batch and across batches until the store changes.
+    /// `false` executes every request individually, as a group of one
+    /// that shares nothing — the baseline the load harness compares
+    /// against.
     pub batching: bool,
     /// How long the scheduler waits after the first request of a batch
     /// for more to arrive. Zero (the default) only drains what is
@@ -57,6 +59,7 @@ impl Default for ServeConfig {
 }
 
 /// A submitted request travelling to the scheduler.
+#[derive(Debug)]
 struct ReqEnvelope {
     req: Request,
     reply: Sender<Result<Response, ServeError>>,
@@ -96,7 +99,10 @@ pub struct ServeStats {
     /// of issuing their own (`group size - 1`, summed).
     pub batch_coalesced: u64,
     /// Analyze/ranked/cluster requests answered from another request's
-    /// computation (`group size - 1`, summed).
+    /// computation, each counted once: riders in the leader's batch,
+    /// requests from later batches that joined it while it ran, and
+    /// requests answered from a finished computation at the store's
+    /// current generation.
     pub dedup_hits: u64,
 }
 
@@ -134,6 +140,8 @@ struct Shared {
     /// so the next append reopens from the last committed snapshot.
     streams: Mutex<HashMap<(String, Benchmark), StreamSession>>,
     subs: Mutex<SubRegistry>,
+    /// Analyses and clusterings shared across batches.
+    flights: Mutex<FlightTable>,
 }
 
 impl Shared {
@@ -142,6 +150,85 @@ impl Shared {
             .get(name)
             .ok_or_else(|| ServeError::UnknownStore(name.to_string()))
     }
+
+    fn count_dedup(&self, hits: u64) {
+        count(&self.stats.dedup_hits, "serve.dedup.hits", hits);
+    }
+
+    /// Runs `compute`, the flight of `key` over `store` (held under its
+    /// read lock), unless the table holds that flight's answer at the
+    /// store's generation. A computed answer is recorded under the same
+    /// read lock, so no write can slip between the snapshot and the
+    /// generation it is stored at. Returns the answer with the requests
+    /// that joined the flight. A flight `id` of `None` shares nothing.
+    fn share(
+        &self,
+        key: &FlightKey,
+        id: Option<u64>,
+        store: &Store,
+        compute: impl FnOnce() -> Result<Option<Flight>, CmError>,
+    ) -> Result<Option<(Flight, Vec<ReqEnvelope>)>, CmError> {
+        let Some(id) = id else {
+            return Ok(compute()?.map(|flight| (flight, Vec::new())));
+        };
+        let generation = store.generation();
+        let mut table = lock(&self.flights);
+        if let Some(flight) = table.done(key, generation) {
+            let joined = table.finish(id, None);
+            drop(table);
+            self.count_dedup(1);
+            return Ok(Some((flight, joined)));
+        }
+        drop(table);
+        let Some(flight) = compute()? else {
+            return Ok(None);
+        };
+        let joined = lock(&self.flights).finish(id, Some((generation, flight.clone())));
+        Ok(Some((flight, joined)))
+    }
+}
+
+/// Adds `n` to a `serve.*` counter and its [`ServeStats`] mirror.
+fn count(stat: &AtomicU64, name: &str, n: u64) {
+    if n > 0 {
+        stat.fetch_add(n, Ordering::Relaxed);
+        cm_obs::counter_add(name, n);
+    }
+}
+
+/// Locks a mutex whose data stays consistent even if a holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write access to a registered store. A panic partway through an
+/// earlier write poisons the lock and may have left the store
+/// half-mutated, so a poisoned store is first reloaded from its last
+/// committed file (a new generation) and the poison cleared. A failed
+/// reload leaves the lock poisoned, so the next access tries again.
+fn write_store(lock: &RwLock<Store>) -> Result<RwLockWriteGuard<'_, Store>, ServeError> {
+    match lock.write() {
+        Ok(guard) => Ok(guard),
+        Err(poisoned) => {
+            let mut guard = poisoned.into_inner();
+            guard.reload().map_err(store_err)?;
+            lock.clear_poison();
+            Ok(guard)
+        }
+    }
+}
+
+/// Read access to a registered store, recovering a poisoned one as
+/// [`write_store`] does.
+fn read_store(lock: &RwLock<Store>) -> Result<RwLockReadGuard<'_, Store>, ServeError> {
+    let poisoned = match lock.read() {
+        Ok(guard) => return Ok(guard),
+        Err(poisoned) => poisoned,
+    };
+    drop(poisoned);
+    drop(write_store(lock)?);
+    lock.read()
+        .map_err(|_| ServeError::Pipeline("store lock poisoned again during recovery".to_string()))
 }
 
 fn store_err(e: StoreError) -> ServeError {
@@ -258,6 +345,7 @@ impl Server {
             stream: StreamConfig::from_env(config.miner),
             streams: Mutex::new(HashMap::new()),
             subs: Mutex::new(SubRegistry::default()),
+            flights: Mutex::new(FlightTable::default()),
         });
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
@@ -323,13 +411,19 @@ impl ServerHandle {
         self.shared.cache.stats()
     }
 
-    /// Publishes the shared cache's per-shard occupancy and activity
-    /// as `serve.cache.shard.*` gauges — the load harness's stats
-    /// sampler calls this periodically. Free when observability is off.
+    /// Publishes the flight table's size (`serve.flight.in_flight`
+    /// running analyses and clusterings, `serve.flight.entries` running
+    /// and finished ones) and the shared cache's per-shard occupancy and
+    /// activity as `serve.cache.shard.*` gauges — the load harness's
+    /// stats sampler calls this periodically. Free when observability
+    /// is off.
     pub fn publish_gauges(&self) {
         if !cm_obs::enabled() {
             return;
         }
+        let (in_flight, entries) = lock(&self.shared.flights).sizes();
+        cm_obs::gauge_set("serve.flight.in_flight", in_flight as f64);
+        cm_obs::gauge_set("serve.flight.entries", entries as f64);
         for (i, shard) in self.shared.cache.shard_stats().iter().enumerate() {
             cm_obs::gauge_set(
                 &format!("serve.cache.shard.{i}.entries"),
@@ -526,8 +620,10 @@ impl Pending {
 }
 
 /// What the requests of one single-flight group share. Requests with
-/// equal keys in one drained batch are answered by one computation.
-#[derive(Debug, PartialEq)]
+/// equal keys in one drained batch are answered by one computation;
+/// analysis and cluster keys are also shared across batches through the
+/// [`FlightTable`].
+#[derive(Debug, Clone, PartialEq)]
 enum FlightKey {
     /// Queries against one store, answered by one batched read.
     Query { store: String },
@@ -536,11 +632,14 @@ enum FlightKey {
     Analysis { store: String, benchmark: Benchmark },
     /// Identical cluster requests, answered by one clustering. The key
     /// is the request itself: cluster configs hold floats, so equality
-    /// stands in for a hash — batches are small.
+    /// stands in for a hash — batches and the flight table are small. A
+    /// NaN in the config makes a key unequal even to itself, so such a
+    /// request never shares.
     Cluster(Request),
 }
 
 /// What one flight computed, shared by every waiter of the group.
+#[derive(Debug, Clone)]
 enum Flight {
     /// One result per query, in group order: a missing series fails
     /// only the query that named it.
@@ -584,6 +683,15 @@ impl FlightKey {
         }
     }
 
+    /// The store the flight reads.
+    fn store(&self) -> &str {
+        match self {
+            FlightKey::Query { store } | FlightKey::Analysis { store, .. } => store,
+            FlightKey::Cluster(Request::Cluster { store, .. }) => store,
+            FlightKey::Cluster(_) => unreachable!("cluster key holds a cluster request"),
+        }
+    }
+
     fn span_name(&self) -> &'static str {
         match self {
             FlightKey::Query { .. } => "serve.exec.query_batch",
@@ -592,8 +700,16 @@ impl FlightKey {
         }
     }
 
-    /// Runs the group's one computation for its waiting `envs`.
-    fn compute(&self, shared: &Shared, envs: &[ReqEnvelope]) -> Result<Flight, ServeError> {
+    /// Runs the group's one computation for its waiting `envs`, or
+    /// takes it from the flight table (entry `id`, see
+    /// [`Shared::share`]). Returns it with the requests that joined the
+    /// flight from later batches.
+    fn compute(
+        &self,
+        shared: &Shared,
+        id: Option<u64>,
+        envs: &[ReqEnvelope],
+    ) -> Result<(Flight, Vec<ReqEnvelope>), ServeError> {
         match self {
             FlightKey::Query { store } => {
                 let keys: Vec<SeriesKey> = envs
@@ -603,8 +719,7 @@ impl FlightKey {
                         _ => unreachable!("query group holds only queries"),
                     })
                     .collect();
-                let handle = shared.store(store)?;
-                let guard = handle.read().unwrap_or_else(|e| e.into_inner());
+                let guard = read_store(shared.store(store)?)?;
                 // One failing key fails the whole batched read; then
                 // each query is answered from its own read, so its
                 // result never depends on its neighbours in the group.
@@ -615,15 +730,18 @@ impl FlightKey {
                         .map(|key| guard.read_series(key).map_err(store_err))
                         .collect(),
                 };
-                Ok(Flight::Series(series))
+                Ok((Flight::Series(series), Vec::new()))
             }
             FlightKey::Analysis { store, benchmark } => {
                 let fingerprint = shared.miner.snapshot_fingerprint(*benchmark);
-                let analysis = warm_or_ingest(shared, store, &[*benchmark], |guard| {
-                    let report = shared.miner.analyze_snapshot(*benchmark, guard)?;
-                    Ok(report.map(|r| RankedAnalysis::from_report(&r, fingerprint)))
-                })?;
-                Ok(Flight::Analysis(Arc::new(analysis)))
+                warm_or_ingest(shared, store, &[*benchmark], |guard| {
+                    shared.share(self, id, guard, || {
+                        let report = shared.miner.analyze_snapshot(*benchmark, guard)?;
+                        Ok(report.map(|r| {
+                            Flight::Analysis(Arc::new(RankedAnalysis::from_report(&r, fingerprint)))
+                        }))
+                    })
+                })
             }
             FlightKey::Cluster(req) => {
                 let Request::Cluster {
@@ -634,17 +752,20 @@ impl FlightKey {
                 else {
                     unreachable!("cluster key holds a cluster request");
                 };
-                let report = warm_or_ingest(shared, store, benchmarks, |guard| {
-                    shared.miner.cluster_snapshot(benchmarks, guard, config)
-                })?;
-                Ok(Flight::Cluster(Arc::new(report)))
+                warm_or_ingest(shared, store, benchmarks, |guard| {
+                    shared.share(self, id, guard, || {
+                        let report = shared.miner.cluster_snapshot(benchmarks, guard, config)?;
+                        Ok(report.map(|r| Flight::Cluster(Arc::new(r))))
+                    })
+                })
             }
         }
     }
 }
 
 impl Flight {
-    /// The response for the `i`-th waiter of the group, which sent `req`.
+    /// The response for the `i`-th waiter of the group, which sent `req`
+    /// (queries never join across batches, so `i` indexes the batch).
     fn answer(&self, i: usize, req: &Request) -> Result<Response, ServeError> {
         match (self, req) {
             (Flight::Series(series), _) => series[i].clone().map(Response::Series),
@@ -658,14 +779,141 @@ impl Flight {
     }
 }
 
+/// Most entries the [`FlightTable`] holds, running and finished
+/// together. At the cap a new flight evicts the oldest finished entry,
+/// or, when every entry is still running, runs untracked: it shares
+/// within its batch only.
+const FLIGHT_TABLE_CAP: usize = 256;
+
+/// Analyses and clusterings shared across batches. A *running* entry
+/// collects the requests that join it at dispatch; a *finished* one
+/// answers its key for as long as the key's store stays at the
+/// generation the answer was computed at ([`Store::generation`]).
+/// Recording a finished entry drops the store's entries from older
+/// generations; errors and panics are never recorded. Entries are found
+/// by key equality at dispatch and by id when their flight ends, since
+/// a key holding a NaN never equals itself.
+#[derive(Debug, Default)]
+struct FlightTable {
+    next_id: u64,
+    /// Oldest first.
+    entries: Vec<FlightEntry>,
+}
+
+#[derive(Debug)]
+struct FlightEntry {
+    id: u64,
+    key: FlightKey,
+    state: EntryState,
+}
+
+#[derive(Debug)]
+enum EntryState {
+    /// Computing; holds the requests that joined after the leader's
+    /// batch.
+    Running(Vec<ReqEnvelope>),
+    /// Computed from the key's store at `generation`.
+    Done { generation: u64, flight: Flight },
+}
+
+impl FlightTable {
+    /// The waiters of the running flight of `key`, if one runs.
+    fn running(&mut self, key: &FlightKey) -> Option<&mut Vec<ReqEnvelope>> {
+        self.entries.iter_mut().find_map(|e| match &mut e.state {
+            EntryState::Running(waiters) if e.key == *key => Some(waiters),
+            _ => None,
+        })
+    }
+
+    /// Opens a running entry for `key` and returns its id, or `None`
+    /// when every one of the [`FLIGHT_TABLE_CAP`] entries is running.
+    fn open(&mut self, key: FlightKey) -> Option<u64> {
+        if self.entries.len() >= FLIGHT_TABLE_CAP {
+            let oldest = self
+                .entries
+                .iter()
+                .position(|e| matches!(e.state, EntryState::Done { .. }))?;
+            self.entries.remove(oldest);
+        }
+        self.next_id += 1;
+        self.entries.push(FlightEntry {
+            id: self.next_id,
+            key,
+            state: EntryState::Running(Vec::new()),
+        });
+        Some(self.next_id)
+    }
+
+    /// The answer to `key` computed at `generation`, if recorded.
+    fn done(&self, key: &FlightKey, generation: u64) -> Option<Flight> {
+        self.entries.iter().find_map(|e| match &e.state {
+            EntryState::Done {
+                generation: at,
+                flight,
+            } if *at == generation && e.key == *key => Some(flight.clone()),
+            _ => None,
+        })
+    }
+
+    /// Ends running entry `id` and returns the requests that joined it.
+    /// `Some((generation, flight))` records the answer in its place and
+    /// drops the store's entries from older generations; `None` removes
+    /// the entry.
+    fn finish(&mut self, id: u64, done: Option<(u64, Flight)>) -> Vec<ReqEnvelope> {
+        let Some(i) = self
+            .entries
+            .iter()
+            .position(|e| e.id == id && matches!(e.state, EntryState::Running(_)))
+        else {
+            return Vec::new();
+        };
+        let state = match done {
+            None => self.entries.remove(i).state,
+            Some((generation, flight)) => {
+                let state = std::mem::replace(
+                    &mut self.entries[i].state,
+                    EntryState::Done { generation, flight },
+                );
+                let store = self.entries[i].key.store().to_string();
+                self.entries.retain(|e| match e.state {
+                    EntryState::Done { generation: at, .. } => {
+                        at >= generation || e.key.store() != store
+                    }
+                    EntryState::Running(_) => true,
+                });
+                state
+            }
+        };
+        match state {
+            EntryState::Running(joined) => joined,
+            EntryState::Done { .. } => unreachable!("found as running"),
+        }
+    }
+
+    /// `(running, total)` entry counts.
+    fn sizes(&self) -> (usize, usize) {
+        let running = self
+            .entries
+            .iter()
+            .filter(|e| matches!(e.state, EntryState::Running(_)))
+            .count();
+        (running, self.entries.len())
+    }
+}
+
 /// One unit handed to the worker pool.
 enum Job {
     /// Executed one by one, in arrival order (pings, infos, ingests,
     /// stream appends, subscribes and polls).
     Singles(Vec<ReqEnvelope>),
-    /// A single-flight group: one computation answers every waiter.
-    /// Without batching, every group has one member.
-    Flight(FlightKey, Vec<ReqEnvelope>),
+    /// A single-flight group: one computation answers every waiter and
+    /// whoever joins flight-table entry `id` while it runs. Without
+    /// batching, every group has one member and no entry.
+    Flight {
+        key: FlightKey,
+        id: Option<u64>,
+        envs: Vec<ReqEnvelope>,
+    },
 }
 
 struct Scheduler {
@@ -689,7 +937,7 @@ impl Scheduler {
                     .name(format!("cm-serve-worker-{i}"))
                     .spawn(move || loop {
                         let job = {
-                            let guard = job_rx.lock().unwrap_or_else(|e| e.into_inner());
+                            let guard = lock(&job_rx);
                             guard.recv()
                         };
                         match job {
@@ -740,7 +988,9 @@ impl Scheduler {
     }
 
     /// Partitions one drained batch into jobs and hands them to the
-    /// pool. This is where coalescing and deduplication happen.
+    /// pool. This is where coalescing and deduplication happen: an
+    /// analysis or clustering group whose key is already running joins
+    /// that flight instead of starting another.
     fn dispatch(&self, batch: Vec<ReqEnvelope>, job_tx: &Sender<Job>) {
         let stats = &self.shared.stats;
         stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
@@ -753,7 +1003,11 @@ impl Scheduler {
         if !self.batching {
             for env in batch {
                 let job = match FlightKey::of(&env.req) {
-                    Some(key) => Job::Flight(key, vec![env]),
+                    Some(key) => Job::Flight {
+                        key,
+                        id: None,
+                        envs: vec![env],
+                    },
                     None => Job::Singles(vec![env]),
                 };
                 let _ = job_tx.send(job);
@@ -775,16 +1029,21 @@ impl Scheduler {
         }
         flights.sort_by_key(|(key, _)| key.rank());
         for (key, envs) in flights {
-            let extra = (envs.len() - 1) as u64;
-            if extra > 0 {
-                let (stat, name) = match key {
-                    FlightKey::Query { .. } => (&stats.batch_coalesced, "serve.batch.coalesced"),
-                    _ => (&stats.dedup_hits, "serve.dedup.hits"),
-                };
-                stat.fetch_add(extra, Ordering::Relaxed);
-                cm_obs::counter_add(name, extra);
-            }
-            let _ = job_tx.send(Job::Flight(key, envs));
+            let riders = (envs.len() - 1) as u64;
+            let id = if let FlightKey::Query { .. } = key {
+                count(&stats.batch_coalesced, "serve.batch.coalesced", riders);
+                None
+            } else {
+                let mut table = lock(&self.shared.flights);
+                if let Some(waiters) = table.running(&key) {
+                    self.shared.count_dedup(envs.len() as u64);
+                    waiters.extend(envs);
+                    continue;
+                }
+                self.shared.count_dedup(riders);
+                table.open(key.clone())
+            };
+            let _ = job_tx.send(Job::Flight { key, id, envs });
         }
         if !singles.is_empty() {
             let _ = job_tx.send(Job::Singles(singles));
@@ -825,12 +1084,22 @@ fn run_job(shared: &Shared, job: Job) {
                 respond(shared, &env.reply, result);
             }
         }
-        Job::Flight(key, envs) => {
+        Job::Flight { key, id, envs } => {
             let _exec = exec_span(&envs[0].parent, key.span_name());
-            let flight = flatten_panic(catch_unwind(AssertUnwindSafe(|| {
-                key.compute(shared, &envs)
+            let computed = flatten_panic(catch_unwind(AssertUnwindSafe(|| {
+                key.compute(shared, id, &envs)
             })));
-            for (i, env) in envs.iter().enumerate() {
+            let (flight, joined) = match computed {
+                Ok((flight, joined)) => (Ok(flight), joined),
+                // Nothing is recorded: the entry goes, and whoever
+                // joined it gets the error too.
+                Err(e) => {
+                    let joined =
+                        id.map_or_else(Vec::new, |id| lock(&shared.flights).finish(id, None));
+                    (Err(e), joined)
+                }
+            };
+            for (i, env) in envs.iter().chain(&joined).enumerate() {
                 let result = match &flight {
                     Ok(flight) => flight.answer(i, &env.req),
                     Err(e) => Err(e.clone()),
@@ -849,18 +1118,13 @@ fn exec_span(parent: &SpanHandle, name: &str) -> SpanGuard {
 fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
     match req {
         Request::Ping => Ok(Response::Pong),
-        Request::Info { store } => {
-            let handle = shared.store(store)?;
-            let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-            Ok(Response::Info(guard.info()))
-        }
+        Request::Info { store } => Ok(Response::Info(read_store(shared.store(store)?)?.info())),
         Request::Query { .. }
         | Request::Analyze { .. }
         | Request::Ranked { .. }
         | Request::Cluster { .. } => unreachable!("flight requests run as a Job::Flight"),
         Request::Ingest { store, benchmark } => {
-            let handle = shared.store(store)?;
-            let mut guard = handle.write().unwrap_or_else(|e| e.into_inner());
+            let mut guard = write_store(shared.store(store)?)?;
             shared
                 .miner
                 .ingest(*benchmark, &mut guard)
@@ -878,7 +1142,7 @@ fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
             top_k,
         } => {
             shared.store(store)?; // fail fast on unknown stores
-            let mut registry = shared.subs.lock().unwrap_or_else(|e| e.into_inner());
+            let mut registry = lock(&shared.subs);
             registry.next_id += 1;
             let id = SubscriptionId(registry.next_id);
             registry.subs.insert(
@@ -896,7 +1160,7 @@ fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
             Ok(Response::Subscribed(id))
         }
         Request::Poll { id, after } => {
-            let mut registry = shared.subs.lock().unwrap_or_else(|e| e.into_inner());
+            let mut registry = lock(&shared.subs);
             let sub = registry
                 .subs
                 .get_mut(id)
@@ -913,9 +1177,11 @@ fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
 /// subscribers whose watched summary materially changed.
 ///
 /// The streams mutex serializes appends per server; the store's write
-/// lock covers staging and the atomic commit. A failed session is
-/// removed so the next append reopens from the last committed snapshot
-/// — the client sees a typed error, never a torn stream.
+/// lock covers staging and the atomic commit. The session leaves the
+/// streams table while it appends, so one that fails — or panics, which
+/// also gets the store reloaded on its next access — is dropped, and the
+/// next append reopens from the last committed snapshot: the client sees
+/// a typed error, never a torn stream.
 fn exec_stream_append(
     shared: &Shared,
     store_name: &str,
@@ -923,30 +1189,25 @@ fn exec_stream_append(
     rows: usize,
 ) -> Result<Response, ServeError> {
     let handle = shared.store(store_name)?;
-    let mut streams = shared.streams.lock().unwrap_or_else(|e| e.into_inner());
+    let mut streams = lock(&shared.streams);
     let key = (store_name.to_string(), benchmark);
 
     let report = {
-        let mut guard = handle.write().unwrap_or_else(|e| e.into_inner());
-        if !streams.contains_key(&key) {
-            let session = StreamSession::open(&mut guard, benchmark, shared.stream.clone())
-                .map_err(stream_err)?;
-            streams.insert(key.clone(), session);
-        }
-        let session = streams.get_mut(&key).expect("session just ensured");
-        match session.append(&mut guard, rows) {
-            Ok(report) => report,
-            Err(e) => {
-                streams.remove(&key);
-                return Err(stream_err(e));
-            }
-        }
+        let mut guard = write_store(handle)?;
+        let mut session = match streams.remove(&key) {
+            Some(session) => session,
+            None => StreamSession::open(&mut guard, benchmark, shared.stream.clone())
+                .map_err(stream_err)?,
+        };
+        let report = session.append(&mut guard, rows).map_err(stream_err)?;
+        streams.insert(key.clone(), session);
+        report
     };
 
     // Only pay for an analysis when someone is watching this stream
     // (and even then, an append that sealed nothing warm-starts).
     let session = streams.get_mut(&key).expect("session exists");
-    let mut registry = shared.subs.lock().unwrap_or_else(|e| e.into_inner());
+    let mut registry = lock(&shared.subs);
     let watching = registry
         .subs
         .values()
@@ -994,15 +1255,12 @@ fn warm_or_ingest<T>(
     warm: impl Fn(&Store) -> Result<Option<T>, CmError>,
 ) -> Result<T, ServeError> {
     let handle = shared.store(store)?;
-    let warm_read = || {
-        let guard = handle.read().unwrap_or_else(|e| e.into_inner());
-        warm(&guard).map_err(cm_err)
-    };
+    let warm_read = || warm(&*read_store(handle)?).map_err(cm_err);
     if let Some(found) = warm_read()? {
         return Ok(found);
     }
     {
-        let mut guard = handle.write().unwrap_or_else(|e| e.into_inner());
+        let mut guard = write_store(handle)?;
         for &benchmark in benchmarks {
             shared.miner.ingest(benchmark, &mut guard).map_err(cm_err)?;
         }
@@ -1018,6 +1276,7 @@ mod tests {
     use cm_events::{EventId, SampleMode};
     use cm_sim::Benchmark;
     use counterminer::{ClusterConfig, MinerConfig};
+    use std::sync::atomic::AtomicBool;
 
     fn tiny_config() -> MinerConfig {
         let mut config = MinerConfig {
@@ -1393,6 +1652,344 @@ mod tests {
         let client = handle.client();
         drop(handle);
         assert_eq!(client.call(Request::Ping), Err(ServeError::Closed));
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// What a test store's filesystem does to the server's reads and
+    /// writes: nothing unless armed.
+    #[derive(Debug, Default)]
+    struct Faults {
+        /// Writes panic (a commit torn by a bug, not an I/O error).
+        panic_writes: AtomicBool,
+        /// Positioned reads panic.
+        panic_reads: AtomicBool,
+        /// While true, positioned reads wait for it to turn false.
+        gate_closed: Mutex<bool>,
+        gate: std::sync::Condvar,
+        /// Reads that have waited at the closed gate.
+        gated_reads: AtomicU64,
+    }
+
+    impl Faults {
+        fn set_gate(&self, closed: bool) {
+            *self.gate_closed.lock().unwrap() = closed;
+            self.gate.notify_all();
+        }
+
+        fn read(&self) {
+            let mut closed = self.gate_closed.lock().unwrap();
+            if *closed {
+                self.gated_reads.fetch_add(1, Ordering::SeqCst);
+            }
+            while *closed {
+                closed = self.gate.wait(closed).unwrap();
+            }
+            drop(closed);
+            assert!(
+                !self.panic_reads.load(Ordering::SeqCst),
+                "injected read panic"
+            );
+        }
+    }
+
+    /// The real filesystem behind [`Faults`].
+    #[derive(Debug)]
+    struct FaultyFs(Arc<Faults>);
+
+    #[derive(Debug)]
+    struct FaultyFile(Box<dyn cm_store::VfsFile>, Arc<Faults>);
+
+    impl cm_store::VfsFile for FaultyFile {
+        fn len(&self) -> std::io::Result<u64> {
+            self.0.len()
+        }
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.1.read();
+            self.0.read_exact_at(buf, offset)
+        }
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            assert!(
+                !self.1.panic_writes.load(Ordering::SeqCst),
+                "injected write panic"
+            );
+            self.0.write_all(buf)
+        }
+        fn sync_all(&mut self) -> std::io::Result<()> {
+            self.0.sync_all()
+        }
+    }
+
+    impl Vfs for FaultyFs {
+        fn open(&self, path: &Path) -> std::io::Result<Box<dyn cm_store::VfsFile>> {
+            Ok(Box::new(FaultyFile(
+                cm_store::RealFs.open(path)?,
+                Arc::clone(&self.0),
+            )))
+        }
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn cm_store::VfsFile>> {
+            Ok(Box::new(FaultyFile(
+                cm_store::RealFs.create(path)?,
+                Arc::clone(&self.0),
+            )))
+        }
+        fn exists(&self, path: &Path) -> bool {
+            cm_store::RealFs.exists(path)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            cm_store::RealFs.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            cm_store::RealFs.rename(from, to)
+        }
+    }
+
+    /// A two-worker server over a store already holding a warm `Sort`
+    /// snapshot, read and written through [`Faults`].
+    fn faulty_server(tag: &str) -> (ServerHandle, Arc<Faults>, std::path::PathBuf) {
+        let path = temp_store_path(tag);
+        let _ = std::fs::remove_file(&path);
+        let mut store = Store::open(&path).expect("open");
+        CounterMiner::new(tiny_config())
+            .ingest(Benchmark::Sort, &mut store)
+            .expect("warm snapshot");
+        drop(store);
+        let faults = Arc::new(Faults::default());
+        let mut server = Server::new(ServeConfig {
+            miner: tiny_config(),
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        server
+            .add_store_with_vfs("main", &path, Arc::new(FaultyFs(Arc::clone(&faults))))
+            .expect("register store");
+        (server.start(), faults, path)
+    }
+
+    /// What a direct `analyze_snapshot` of the committed file answers.
+    fn oracle(path: &Path, benchmark: Benchmark) -> RankedAnalysis {
+        let miner = CounterMiner::new(tiny_config());
+        let store = Store::open(path).expect("open oracle store");
+        let report = miner
+            .analyze_snapshot(benchmark, &store)
+            .expect("oracle analysis")
+            .expect("warm snapshot");
+        RankedAnalysis::from_report(&report, miner.snapshot_fingerprint(benchmark))
+    }
+
+    fn analyze(client: &Client, benchmark: Benchmark) -> Arc<RankedAnalysis> {
+        match client.call(Request::Analyze {
+            store: "main".into(),
+            benchmark,
+        }) {
+            Ok(Response::Analysis(a)) => a,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Submits an analysis that stops at the closed gate, then a ranked
+    /// request for the same key, and opens the gate once the ranked one
+    /// has joined the running flight. The join counts at dispatch, while
+    /// no finished answer exists to hit.
+    fn join_while_gated(handle: &ServerHandle, faults: &Faults) -> (Pending, Pending) {
+        let client = handle.client();
+        faults.set_gate(true);
+        let analysis = client.submit(Request::Analyze {
+            store: "main".into(),
+            benchmark: Benchmark::Sort,
+        });
+        wait_until("the analysis to read", || {
+            faults.gated_reads.load(Ordering::SeqCst) > 0
+        });
+        let ranked = client.submit(Request::Ranked {
+            store: "main".into(),
+            benchmark: Benchmark::Sort,
+            top_k: 3,
+        });
+        wait_until("the ranked request to join", || {
+            handle.stats().dedup_hits == 1
+        });
+        faults.set_gate(false);
+        (analysis, ranked)
+    }
+
+    #[test]
+    fn finished_analyses_are_shared_until_the_store_changes() {
+        let (handle, path) = tiny_server("share");
+        let client = handle.client();
+        let first = analyze(&client, Benchmark::Sort);
+        let second = analyze(&client, Benchmark::Sort);
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a repeat must share the answer"
+        );
+        assert_eq!(handle.stats().dedup_hits, 1);
+        assert_eq!(*first, oracle(&path, Benchmark::Sort));
+
+        // An ingest of another benchmark moves the store's generation:
+        // the next analysis recomputes, from the new snapshot.
+        assert!(matches!(
+            client.call(Request::Ingest {
+                store: "main".into(),
+                benchmark: Benchmark::Wordcount,
+            }),
+            Ok(Response::Ingested(_))
+        ));
+        let after_ingest = analyze(&client, Benchmark::Sort);
+        assert!(!Arc::ptr_eq(&first, &after_ingest));
+        assert_eq!(*after_ingest, oracle(&path, Benchmark::Sort));
+
+        // So does a streamed append to the same store.
+        stream_append(&client, 40);
+        let after_append = analyze(&client, Benchmark::Sort);
+        assert!(!Arc::ptr_eq(&after_ingest, &after_append));
+        assert_eq!(*after_append, oracle(&path, Benchmark::Sort));
+        assert_eq!(handle.stats().dedup_hits, 1);
+
+        // A ranked request at the same generation shares it too.
+        match client.call(Request::Ranked {
+            store: "main".into(),
+            benchmark: Benchmark::Sort,
+            top_k: 3,
+        }) {
+            Ok(Response::Ranked(r)) => assert_eq!(r, after_append.ranking[..3].to_vec()),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(handle.shutdown().dedup_hits, 2);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_request_joins_the_running_flight_of_its_key() {
+        let (handle, faults, path) = faulty_server("join");
+        let (analysis, ranked) = join_while_gated(&handle, &faults);
+        let analysis = match analysis.wait() {
+            Ok(Response::Analysis(a)) => a,
+            other => panic!("unexpected response {other:?}"),
+        };
+        match ranked.wait() {
+            Ok(Response::Ranked(r)) => assert_eq!(r, analysis.ranking[..3].to_vec()),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(*analysis, oracle(&path, Benchmark::Sort));
+        let stats = handle.shutdown();
+        assert_eq!(stats.dedup_hits, 1);
+        assert_eq!(stats.errors, 0);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_panicking_flight_fails_every_joined_waiter_and_is_not_kept() {
+        let (handle, faults, path) = faulty_server("flight_panic");
+        let client = handle.client();
+        faults.panic_reads.store(true, Ordering::SeqCst);
+        let (analysis, ranked) = join_while_gated(&handle, &faults);
+        for pending in [analysis, ranked] {
+            assert!(matches!(pending.wait(), Err(ServeError::Pipeline(_))));
+        }
+        assert_eq!(lock(&handle.shared.flights).sizes(), (0, 0));
+
+        // Nothing was kept: the next request computes afresh.
+        faults.panic_reads.store(false, Ordering::SeqCst);
+        assert_eq!(
+            *analyze(&client, Benchmark::Sort),
+            oracle(&path, Benchmark::Sort)
+        );
+        let stats = handle.shutdown();
+        assert_eq!(stats.dedup_hits, 1);
+        assert_eq!(stats.errors, 2);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_panic_mid_write_reloads_the_store_from_its_last_commit() {
+        let (handle, faults, path) = faulty_server("poison");
+        let client = handle.client();
+        let want = oracle(&path, Benchmark::Sort);
+        let info = || match client.call(Request::Info {
+            store: "main".into(),
+        }) {
+            Ok(Response::Info(info)) => info,
+            other => panic!("unexpected response {other:?}"),
+        };
+        let before = info();
+
+        // The ingest stages its series, then its commit panics: the
+        // write lock is poisoned over a half-mutated store.
+        faults.panic_writes.store(true, Ordering::SeqCst);
+        let ingest = client.call(Request::Ingest {
+            store: "main".into(),
+            benchmark: Benchmark::Wordcount,
+        });
+        assert!(matches!(ingest, Err(ServeError::Pipeline(_))), "{ingest:?}");
+        faults.panic_writes.store(false, Ordering::SeqCst);
+        assert_eq!(info().series, before.series);
+        assert_eq!(*analyze(&client, Benchmark::Sort), want);
+
+        // A stream append torn the same way loses its session too: the
+        // next append starts over from the committed (empty) stream.
+        faults.panic_writes.store(true, Ordering::SeqCst);
+        let append = client.call(Request::StreamAppend {
+            store: "main".into(),
+            benchmark: Benchmark::Sort,
+            rows: 40,
+        });
+        assert!(matches!(append, Err(ServeError::Pipeline(_))), "{append:?}");
+        faults.panic_writes.store(false, Ordering::SeqCst);
+        assert!(lock(&handle.shared.streams).is_empty());
+        assert_eq!(info().series, before.series);
+        assert_eq!(stream_append(&client, 40).total_rows, 40);
+        handle.shutdown();
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn distinct_cluster_configs_stay_within_the_flight_table_cap() {
+        let (handle, path) = tiny_server("cluster_cap");
+        let client = handle.client();
+        let request = |threshold_sigmas: f64| Request::Cluster {
+            store: "main".into(),
+            benchmarks: vec![Benchmark::Sort],
+            config: ClusterConfig {
+                k: 1,
+                threshold_sigmas,
+                ..ClusterConfig::default()
+            },
+        };
+        // Warm the snapshot, so every clustering below reads it.
+        let first = client.call(request(0.0)).expect("warm cluster");
+        let pendings: Vec<Pending> = (1..1000)
+            .map(|i| {
+                let sigmas = if i % 100 == 0 { f64::NAN } else { i as f64 };
+                client.submit(request(sigmas))
+            })
+            .collect();
+        for pending in pendings {
+            let (running, entries) = lock(&handle.shared.flights).sizes();
+            assert!(running <= entries && entries <= FLIGHT_TABLE_CAP);
+            assert!(matches!(pending.wait(), Ok(Response::Clustered(_))));
+        }
+        // Every flight ended, NaN keys included (they never equal
+        // themselves, so they never share), and the table is full.
+        assert_eq!(lock(&handle.shared.flights).sizes(), (0, FLIGHT_TABLE_CAP));
+
+        // The first clustering was the oldest entry, long evicted: its
+        // repeat recomputes the same report.
+        let again = client.call(request(0.0)).expect("repeat cluster");
+        let stats = handle.shutdown();
+        let (Response::Clustered(a), Response::Clustered(b)) = (first, again) else {
+            panic!("unexpected responses");
+        };
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(*a, *b);
+        assert_eq!(stats.dedup_hits, 0);
         let _ = std::fs::remove_file(path);
     }
 

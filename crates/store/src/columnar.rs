@@ -200,6 +200,9 @@ pub struct Store {
     /// Whether run or metadata tables changed since the last commit —
     /// mutations [`Store::has_staged`] cannot see from series tails.
     tables_dirty: bool,
+    /// Bumped by every mutating call before it mutates (see
+    /// [`Store::generation`]).
+    generation: u64,
 }
 
 impl Store {
@@ -280,14 +283,7 @@ impl Store {
         let path = path.as_ref().to_path_buf();
         let _span = cm_obs::span!("store.open");
 
-        // Partial-write recovery: an interrupted commit can only leave a
-        // temporary file behind; the committed store is still intact.
-        let tmp = tmp_path(&path);
-        if vfs.exists(&tmp) {
-            vfs.remove(&tmp)?;
-            cm_obs::counter_add("store.recovered_partial", 1);
-        }
-
+        remove_partial_commit(&*vfs, &path)?;
         let salt = crate::cache::path_salt(&path);
         let mut store = Store {
             path,
@@ -300,6 +296,7 @@ impl Store {
             salt,
             file_bytes: 0,
             tables_dirty: false,
+            generation: 0,
         };
         if store.vfs.exists(&store.path) {
             store.load()?;
@@ -310,6 +307,73 @@ impl Store {
     /// File this store commits to.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// A counter that changes whenever the store's readable contents
+    /// may have: every mutating call ([`Store::append_series`],
+    /// [`Store::extend_series`], [`Store::append_run`],
+    /// [`Store::set_meta`], a [`Store::commit`] that writes, and
+    /// [`Store::reload`]) bumps it *before* it mutates, so a call that
+    /// fails or panics partway still leaves a new generation behind.
+    /// Reads never change it. Two reads of one store handle that see the
+    /// same generation therefore see the same contents — the key under
+    /// which the serving layer shares finished analyses.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cm_events::{EventId, SampleMode};
+    /// use cm_store::{SeriesKey, Store};
+    ///
+    /// let dir = std::env::temp_dir().join(format!("cm_generation_doc_{}", std::process::id()));
+    /// std::fs::create_dir_all(&dir)?;
+    /// let mut store = Store::open(dir.join("g.cmstore"))?;
+    /// let before = store.generation();
+    /// let key = SeriesKey::new("sort", 0, SampleMode::Mlpx, EventId::new(1));
+    /// store.append_series(key.clone(), &[1.0])?;
+    /// assert!(store.generation() > before);
+    /// let staged = store.generation();
+    /// store.read_series(&key)?;
+    /// assert_eq!(store.generation(), staged);
+    /// # Ok::<(), cm_store::StoreError>(())
+    /// ```
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Drops every staged write and rereads the committed file through
+    /// the store's own [`Vfs`], as a fresh [`Store::open_shared`] would,
+    /// keeping the handle, its cache and its (bumped) generation. This
+    /// is how a store left half-mutated by a panic mid-write returns to
+    /// its last committed state. A store that was never committed comes
+    /// back empty.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Store::open`]; after an error the store holds nothing
+    /// and may be reloaded again.
+    pub fn reload(&mut self) -> Result<(), StoreError> {
+        self.generation += 1;
+        self.clear_tables();
+        // A commit interrupted after its rename may have replaced the
+        // file that cached offsets point into.
+        self.cache.clear_salt(self.salt);
+        remove_partial_commit(&*self.vfs, &self.path)?;
+        if self.vfs.exists(&self.path) {
+            self.load().inspect_err(|_| self.clear_tables())?;
+        }
+        Ok(())
+    }
+
+    /// Forgets the committed file and every series, run and metadata
+    /// entry, staged or not.
+    fn clear_tables(&mut self) {
+        self.file = None;
+        self.chunks.clear();
+        self.runs.clear();
+        self.meta.clear();
+        self.file_bytes = 0;
+        self.tables_dirty = false;
     }
 
     fn file_name(&self) -> String {
@@ -458,6 +522,7 @@ impl Store {
         if self.chunks.contains_key(&key) {
             return Err(duplicate_series(&key));
         }
+        self.generation += 1;
         self.chunks
             .insert(key, SeriesState::staged(values.to_vec()));
         Ok(())
@@ -503,6 +568,7 @@ impl Store {
     /// # Ok::<(), cm_store::StoreError>(())
     /// ```
     pub fn extend_series(&mut self, key: SeriesKey, values: &[f64]) -> Result<(), StoreError> {
+        self.generation += 1;
         let state = self
             .chunks
             .entry(key)
@@ -542,6 +608,7 @@ impl Store {
         if let Some(event) = record.events().find(|&e| self.chunks.contains_key(&key(e))) {
             return Err(duplicate_series(&key(event)));
         }
+        self.generation += 1;
         for (event, series) in record.iter() {
             self.append_series(key(event), series.values())?;
         }
@@ -552,6 +619,7 @@ impl Store {
 
     /// Sets one store-level metadata entry (persisted on commit).
     pub fn set_meta(&mut self, key: impl Into<String>, value: impl Into<String>) {
+        self.generation += 1;
         self.meta.insert(key.into(), value.into());
         self.tables_dirty = true;
     }
@@ -996,6 +1064,7 @@ impl Store {
         if !self.has_staged() && !self.tables_dirty && self.file.is_some() {
             return Ok(());
         }
+        self.generation += 1;
         let _span = cm_obs::span!("store.commit");
 
         // An encoded chunk ready to hit disk: encoding, value count,
@@ -1144,6 +1213,17 @@ fn duplicate_series(key: &SeriesKey) -> StoreError {
     }
 }
 
+/// Partial-write recovery: an interrupted commit can only leave a
+/// temporary file behind; the committed store is still intact.
+fn remove_partial_commit(vfs: &dyn Vfs, path: &Path) -> Result<(), StoreError> {
+    let tmp = tmp_path(path);
+    if vfs.exists(&tmp) {
+        vfs.remove(&tmp)?;
+        cm_obs::counter_add("store.recovered_partial", 1);
+    }
+    Ok(())
+}
+
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(TMP_SUFFIX);
@@ -1211,6 +1291,68 @@ mod tests {
         assert_eq!(got.event_count(), 2);
         assert_eq!(got.series(EventId::new(5)).unwrap().values(), &[10.0, 20.0]);
         assert!(got.series(EventId::new(9)).unwrap().is_empty());
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn generation_moves_with_every_mutation_and_never_with_a_read() {
+        let path = temp_store("generation");
+        let mut store = Store::open(&path).unwrap();
+        let mut last = store.generation();
+        let mut bumped = |store: &Store, what: &str| {
+            assert!(store.generation() > last, "{what} must bump the generation");
+            last = store.generation();
+        };
+
+        store.append_series(key("wc", 0, 1), &[1.0, 2.0]).unwrap();
+        bumped(&store, "append_series");
+        store.extend_series(key("wc", 0, 1), &[3.0]).unwrap();
+        bumped(&store, "extend_series");
+        let mut record = RunRecord::new("sort", 0, SampleMode::Mlpx);
+        record.set_exec_time_secs(1.5);
+        record.insert_series(EventId::new(4), TimeSeries::from_values(vec![7.0]));
+        store.append_run(&record).unwrap();
+        bumped(&store, "append_run");
+        store.set_meta("origin", "generation-test");
+        bumped(&store, "set_meta");
+        store.commit().unwrap();
+        bumped(&store, "a commit that writes");
+
+        // Reads and a commit with nothing staged leave the generation
+        // and what reads see as they were.
+        let committed = store.generation();
+        let keys = [key("wc", 0, 1), key("sort", 0, 4)];
+        let series = store.read_series(&keys[0]).unwrap();
+        assert_eq!(store.read_series_batch(&keys).unwrap()[0], series);
+        let run = store
+            .read_run(&RunId::new("sort", 0, SampleMode::Mlpx))
+            .unwrap();
+        let info = store.info();
+        store.commit().unwrap();
+        assert_eq!(store.generation(), committed);
+        assert_eq!(store.read_series(&keys[0]).unwrap(), series);
+        assert_eq!(
+            store
+                .read_run(&RunId::new("sort", 0, SampleMode::Mlpx))
+                .unwrap()
+                .exec_time_secs(),
+            run.exec_time_secs()
+        );
+        assert_eq!(store.info(), info);
+
+        // Reload drops staged writes, restores the committed contents
+        // and moves the generation on.
+        store.append_series(key("wc", 1, 1), &[9.0]).unwrap();
+        store.set_meta("origin", "staged");
+        let staged = store.generation();
+        store.reload().unwrap();
+        assert!(
+            store.generation() > staged,
+            "reload must bump the generation"
+        );
+        assert_eq!(store.info(), info);
+        assert_eq!(store.meta("origin"), Some("generation-test"));
+        assert_eq!(store.read_series(&keys[0]).unwrap(), series);
         fs::remove_file(&path).unwrap();
     }
 
