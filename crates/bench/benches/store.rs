@@ -1,7 +1,8 @@
-//! Persistent columnar store throughput: encode+commit, cold reads and
-//! cached reads (group `store`); and the read path's decode throughput,
-//! batched cold reads vs the per-key loop, warm cache hits, and serial
-//! vs parallel chunk decode (group `store_read`).
+//! Persistent columnar store throughput: encode+commit of a whole
+//! store, append commits, cold reads and cached reads (group `store`);
+//! and the read path's decode throughput, batched cold reads vs the
+//! per-key loop, warm cache hits, and serial vs parallel chunk decode
+//! (group `store_read`).
 //!
 //! The `store_read` group is the perf-gate anchor for the zero-copy
 //! batched read path (`Store::read_series_batch`): committed baselines
@@ -74,6 +75,21 @@ fn bench_store(s: &mut Sampler) {
             let store = committed_store(&path, n, CacheConfig::default());
             std::hint::black_box(store.info().file_bytes)
         });
+        let _ = std::fs::remove_file(&path);
+
+        // Append an 8-value tail to one series of a committed store:
+        // the commit writes the new chunk, an index delta and one slot
+        // (plus, every so often, a chain re-encode or a compaction).
+        let path = bench_path("commit_append");
+        let mut store = committed_store(&path, n, CacheConfig::default());
+        let target = SeriesKey::new("bench", 0, SampleMode::Mlpx, EventId::new(0));
+        let tail = counter_series(0, 0, 8);
+        group.bench(format!("commit_append/{n}"), || {
+            store.extend_series(target.clone(), &tail).unwrap();
+            store.commit().unwrap();
+            std::hint::black_box(store.info().file_bytes)
+        });
+        drop(store);
         let _ = std::fs::remove_file(&path);
 
         // Cold reads: cache disabled, every read decodes from disk.

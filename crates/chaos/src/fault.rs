@@ -3,8 +3,10 @@
 //! [`FaultFs`] wraps any [`Vfs`] (the real filesystem by default) and
 //! injects a deterministic, seed-derived schedule of I/O faults into
 //! the files it opens: short reads, failed writes (`ENOSPC`-style),
-//! short writes, fsync failures, and silent single-bit corruption of
-//! written data. The schedule is a pure function of the seed, so a
+//! short and torn writes, fsync failures, and silent single-bit
+//! corruption of written data. Sequential writes (a compaction's new
+//! file) and positioned writes (an append commit's tail and slot flip)
+//! are both targets. The schedule is a pure function of the seed, so a
 //! failing chaos run replays exactly.
 //!
 //! Every injected fault is tallied locally (see
@@ -27,6 +29,9 @@ pub enum FaultKind {
     FailWrite,
     /// A write persisted only a prefix of the buffer, then failed.
     ShortWrite,
+    /// A positioned write persisted only a suffix of the buffer — its
+    /// sectors landed out of order — then failed.
+    TornWrite,
     /// `fsync` reported failure after the data was buffered.
     FailSync,
     /// One bit of the written payload was flipped — *silently*; the
@@ -40,6 +45,7 @@ impl FaultKind {
             FaultKind::ShortRead => "chaos.faults.short_read",
             FaultKind::FailWrite => "chaos.faults.fail_write",
             FaultKind::ShortWrite => "chaos.faults.short_write",
+            FaultKind::TornWrite => "chaos.faults.torn_write",
             FaultKind::FailSync => "chaos.faults.fail_sync",
             FaultKind::BitFlip => "chaos.faults.bit_flip",
         }
@@ -176,6 +182,13 @@ impl Vfs for FaultFs {
         }))
     }
 
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(Box::new(FaultFile {
+            inner: self.inner.open_rw(path)?,
+            state: self.state.clone(),
+        }))
+    }
+
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         Ok(Box::new(FaultFile {
             inner: self.inner.create(path)?,
@@ -249,6 +262,41 @@ impl VfsFile for FaultFile {
                     self.inner.write_all(&corrupt)
                 }
             },
+        }
+    }
+
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        let fired = lock(&self.state).tick();
+        let Some(s) = fired else {
+            return self.inner.write_all_at(buf, offset);
+        };
+        let split = (s.aux as usize) % (buf.len() + 1);
+        match s.flavor % 4 {
+            0 => {
+                lock(&self.state).record(FaultKind::FailWrite);
+                Err(injected_err("no space left on device"))
+            }
+            1 => {
+                lock(&self.state).record(FaultKind::ShortWrite);
+                self.inner.write_all_at(&buf[..split], offset)?;
+                Err(injected_err("short write"))
+            }
+            2 => {
+                lock(&self.state).record(FaultKind::TornWrite);
+                self.inner
+                    .write_all_at(&buf[split..], offset + split as u64)?;
+                Err(injected_err("torn write"))
+            }
+            _ => {
+                lock(&self.state).record(FaultKind::BitFlip);
+                let mut corrupt = buf.to_vec();
+                if !corrupt.is_empty() {
+                    let bit = (s.aux as usize) % (corrupt.len() * 8);
+                    corrupt[bit / 8] ^= 1 << (bit % 8);
+                }
+                // Silent: the caller sees success.
+                self.inner.write_all_at(&corrupt, offset)
+            }
         }
     }
 

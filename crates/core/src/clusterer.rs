@@ -197,7 +197,8 @@ impl CounterMiner {
     /// Runs the `cluster` analysis mode over `benchmarks`: ingests any
     /// benchmark not yet snapshotted in `store` (warm snapshots are
     /// reused bit-identically), then clusters all cleaned runs and
-    /// flags anomalies. See the [module docs](self) for the method.
+    /// flags anomalies. The method is described in the docs of the
+    /// `clusterer` module (`crates/core/src/clusterer.rs`).
     ///
     /// # Errors
     ///

@@ -1714,6 +1714,13 @@ mod tests {
             );
             self.0.write_all(buf)
         }
+        fn write_all_at(&mut self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+            assert!(
+                !self.1.panic_writes.load(Ordering::SeqCst),
+                "injected write panic"
+            );
+            self.0.write_all_at(buf, offset)
+        }
         fn sync_all(&mut self) -> std::io::Result<()> {
             self.0.sync_all()
         }
@@ -1723,6 +1730,12 @@ mod tests {
         fn open(&self, path: &Path) -> std::io::Result<Box<dyn cm_store::VfsFile>> {
             Ok(Box::new(FaultyFile(
                 cm_store::RealFs.open(path)?,
+                Arc::clone(&self.0),
+            )))
+        }
+        fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn cm_store::VfsFile>> {
+            Ok(Box::new(FaultyFile(
+                cm_store::RealFs.open_rw(path)?,
                 Arc::clone(&self.0),
             )))
         }

@@ -66,9 +66,9 @@ impl Workload {
     ///
     /// Each event's activity process blends a *family* component
     /// (shared by every benchmark in `benchmark.family()`) with the
-    /// benchmark's own component, [`FAMILY_WEIGHT`] toward the family.
-    /// The blend is what gives counter signatures their recoverable
-    /// family structure.
+    /// benchmark's own component, weighted 0.75 (`FAMILY_WEIGHT`) toward
+    /// the family. The blend is what gives counter signatures their
+    /// recoverable family structure.
     pub fn new(benchmark: Benchmark, catalog: &EventCatalog) -> Self {
         let salt = benchmark_salt(benchmark);
         let family_salt = family_salt(benchmark.family());
@@ -137,8 +137,8 @@ impl Workload {
 
     /// Generates an **anomalous** run: the same deterministic ground
     /// truth as [`Workload::generate_run`] for `(run_index, seed)`, but
-    /// with the benchmark's dominant profile events running at
-    /// [`ANOMALY_SCALE`] times their normal mean activity — the
+    /// with the benchmark's dominant profile events running at 6, 5 and
+    /// 4 times (`ANOMALY_SCALE`) their normal mean activity — the
     /// signature of a misconfigured executor or a hostile co-runner.
     /// The `cluster` analysis mode is expected to flag every such run.
     pub fn anomalous_run(&self, run_index: u32, seed: u64) -> GeneratedRun {

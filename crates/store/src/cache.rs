@@ -193,13 +193,17 @@ impl Shard {
         evicted
     }
 
+    fn remove(&mut self, key: BlockKey) {
+        if let Some((tick, values)) = self.map.remove(&key) {
+            self.recency.remove(&tick);
+            self.bytes -= Self::charge(&values);
+        }
+    }
+
     fn remove_salt(&mut self, salt: u64) {
         let dead: Vec<BlockKey> = self.map.keys().filter(|k| k.0 == salt).copied().collect();
         for key in dead {
-            if let Some((tick, values)) = self.map.remove(&key) {
-                self.recency.remove(&tick);
-                self.bytes -= Self::charge(&values);
-            }
+            self.remove(key);
         }
     }
 
@@ -326,6 +330,15 @@ impl BlockCache {
                 ..Shard::default()
             };
         }
+    }
+
+    /// Drops one chunk's entry, if cached: the chunk is no longer part
+    /// of its store, so nothing will read it again.
+    pub(crate) fn remove(&self, salt: u64, offset: u64) {
+        self.shard(offset)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove((salt, offset));
     }
 
     /// Drops every entry belonging to one store (its chunk offsets are

@@ -7,20 +7,23 @@
 //! `docs/STORAGE_FORMAT.md` for the full specification.
 //!
 //! Writes are staged in memory and made durable by [`Store::commit`],
-//! which builds the whole file under a temporary name and atomically
-//! renames it into place — readers never observe a torn store, and a
-//! crash mid-commit leaves the previous committed state intact.
+//! which appends the new chunks and an index delta to the end of the
+//! file and then flips one of two superblock slots, fsyncing before and
+//! after the flip. A reader follows the newest valid slot and never
+//! looks past the record it names, so a crash mid-commit leaves the
+//! previous committed state intact. Rewriting the whole file under a
+//! temporary name and renaming it into place is kept for compaction.
 
 use crate::cache::BlockCache;
 use crate::codec::{self, Encoding};
 use crate::format::{
-    mode_from_tag, mode_tag, ChunkRef, IndexReader, IndexWriter, Superblock, SUPERBLOCK_LEN,
-    TMP_SUFFIX, VERSION,
+    mode_from_tag, mode_tag, ChunkRef, IndexReader, IndexWriter, Slot, Superblock, CHUNK_REF_LEN,
+    META_ENTRY_MIN, RUN_ENTRY_MIN, SERIES_KEY_MIN, SLOT_LEN, SUPERBLOCK_LEN, TMP_SUFFIX, VERSION,
 };
 use crate::vfs::{RealFs, Vfs, VfsFile};
 use crate::{CacheConfig, CacheStats, StoreError};
 use cm_events::{EventId, RunRecord, SampleMode, TimeSeries};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -94,6 +97,21 @@ impl RunId {
 /// therefore touch at most this many chunks per series.
 pub const MAX_CHUNK_CHAIN: usize = 8;
 
+/// Longest chain of index deltas a file may carry behind its last full
+/// index. A commit that would exceed it *compacts* the file instead —
+/// rewrites it with one full index under a temporary name and renames
+/// it into place — so opening a store replays at most this many deltas.
+pub const MAX_DELTA_CHAIN: usize = 64;
+
+/// Dead bytes (chunks and index records no longer reachable from the
+/// newest generation) a file may hold per live byte before the next
+/// commit compacts it, so a store appended to forever stays within
+/// twice its live size.
+pub const MAX_DEAD_PER_LIVE: u64 = 1;
+
+/// An encoded chunk ready to hit disk: encoding, value count, payload.
+type EncodedChunk = (Encoding, u64, Vec<u8>);
+
 /// Where one series' values currently live: a chain of committed chunks
 /// (in append order) plus, possibly, a staged tail that the next
 /// [`Store::commit`] makes durable. Either part may be empty, but never
@@ -145,7 +163,8 @@ pub struct StoreInfo {
     pub chained_series: usize,
     /// Total sample values across all series.
     pub total_values: u64,
-    /// Committed file size in bytes (0 before the first commit).
+    /// Committed bytes: the file's size up to the end of its newest
+    /// index record (0 before the first commit).
     pub file_bytes: u64,
     /// Committed chunks using the delta+varint encoding.
     pub delta_chunks: usize,
@@ -196,13 +215,46 @@ pub struct Store {
     cache: Arc<BlockCache>,
     /// This store's identity inside a shared cache; derived from `path`.
     salt: u64,
+    /// End of the committed bytes: the newest index record's end (or,
+    /// for a version-1/2 file, the file's length). Bytes past it — a
+    /// torn or failed append — are never read, and the next append
+    /// overwrites them. 0 before the first commit.
     file_bytes: u64,
-    /// Whether run or metadata tables changed since the last commit —
-    /// mutations [`Store::has_staged`] cannot see from series tails.
-    tables_dirty: bool,
+    /// The committed file's log state. `None` when no file exists or
+    /// the file predates version 3: the next commit then compacts.
+    log: Option<Log>,
+    /// Runs and metadata keys changed since the last commit — the
+    /// table entries the next commit's index delta carries.
+    dirty_runs: BTreeSet<RunId>,
+    dirty_meta: BTreeSet<String>,
     /// Bumped by every mutating call before it mutates (see
     /// [`Store::generation`]).
     generation: u64,
+}
+
+/// Where the next append commit links into a version-3 file.
+#[derive(Debug, Clone, Copy)]
+struct Log {
+    /// Byte offset of the slot pair.
+    slots_offset: u64,
+    /// The slot (0 or 1) naming the newest generation; the next append
+    /// overwrites the other one.
+    active: usize,
+    /// The newest committed generation (what the active slot holds).
+    generation: u64,
+    /// Offset and length of the newest index record.
+    head: (u64, u64),
+    /// Deltas between the newest record and the last full index.
+    depth: u32,
+    /// Bytes of every index record on the replay chain.
+    record_bytes: u64,
+}
+
+impl Log {
+    /// Where slot `which` lives.
+    fn slot_offset(&self, which: usize) -> u64 {
+        self.slots_offset + (which * SLOT_LEN) as u64
+    }
 }
 
 impl Store {
@@ -295,7 +347,9 @@ impl Store {
             cache,
             salt,
             file_bytes: 0,
-            tables_dirty: false,
+            log: None,
+            dirty_runs: BTreeSet::new(),
+            dirty_meta: BTreeSet::new(),
             generation: 0,
         };
         if store.vfs.exists(&store.path) {
@@ -345,8 +399,9 @@ impl Store {
     /// the store's own [`Vfs`], as a fresh [`Store::open_shared`] would,
     /// keeping the handle, its cache and its (bumped) generation. This
     /// is how a store left half-mutated by a panic mid-write returns to
-    /// its last committed state. A store that was never committed comes
-    /// back empty.
+    /// its last committed state, and how a handle whose commit failed
+    /// learns which generation the file opens with. A store that was
+    /// never committed comes back empty.
     ///
     /// # Errors
     ///
@@ -373,7 +428,9 @@ impl Store {
         self.runs.clear();
         self.meta.clear();
         self.file_bytes = 0;
-        self.tables_dirty = false;
+        self.log = None;
+        self.dirty_runs.clear();
+        self.dirty_meta.clear();
     }
 
     fn file_name(&self) -> String {
@@ -392,56 +449,190 @@ impl Store {
         file.read_exact_at(&mut head, 0)?;
         let sb = Superblock::decode(&head, &name)?;
 
-        let index_end = sb.index_offset.checked_add(sb.index_len);
-        if index_end.is_none() || index_end.unwrap() > file_len {
-            return Err(StoreError::Truncated {
-                file: name,
-                what: format!(
-                    "index claims bytes {}..{} but the file holds {file_len}",
-                    sb.index_offset,
-                    sb.index_offset.saturating_add(sb.index_len)
-                ),
-            });
+        if sb.version < 3 {
+            // Versions 1 and 2: the header names one full index.
+            let index = read_region(
+                &*file,
+                sb.index_offset,
+                sb.index_len,
+                file_len,
+                "index",
+                &name,
+            )?;
+            let mut r = IndexReader::new(&index, &name)?;
+            self.apply_index(&mut r, sb.version, sb.index_offset, &name)?;
+            self.file_bytes = file_len;
+            self.file = Some(file);
+            return Ok(());
         }
 
-        let mut index_bytes = vec![0u8; sb.index_len as usize];
-        file.read_exact_at(&mut index_bytes, sb.index_offset)?;
-        let mut r = IndexReader::new(&index_bytes, &name)?;
+        // Version 3: the header names the slot pair; the newest valid
+        // slot names the head of a chain of index records.
+        if sb.index_len != 2 * SLOT_LEN as u64 {
+            return Err(StoreError::Corrupt {
+                file: name,
+                what: format!("slot pair is {} bytes, not {}", sb.index_len, 2 * SLOT_LEN),
+            });
+        }
+        let region = read_region(
+            &*file,
+            sb.index_offset,
+            sb.index_len,
+            file_len,
+            "slot pair",
+            &name,
+        )?;
+        let slots = [0, 1].map(|i| Slot::decode(&region[i * SLOT_LEN..]));
+        let active = match slots {
+            [Some(a), Some(b)] => usize::from(b.generation > a.generation),
+            [Some(_), None] => 0,
+            [None, Some(_)] => 1,
+            [None, None] => {
+                return Err(StoreError::ChecksumMismatch {
+                    file: name,
+                    what: "superblock slots (neither is valid)".to_string(),
+                })
+            }
+        };
+        let slot = slots[active].expect("chosen slot is valid");
+        let data_start = sb.index_offset + region.len() as u64;
 
-        let n_series = r.u64("series count")?;
+        // Walk back to the last full index. Each step must land
+        // strictly earlier in the file with a depth one lower, so the
+        // walk ends within MAX_DELTA_CHAIN + 1 reads.
+        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
+        let (mut offset, mut len) = (slot.record_offset, slot.record_len);
+        let mut depth = None;
+        loop {
+            if offset < data_start {
+                return Err(StoreError::Corrupt {
+                    file: name,
+                    what: format!("index record at {offset} precedes the slot pair"),
+                });
+            }
+            let bytes = read_region(&*file, offset, len, file_len, "index record", &name)?;
+            let (prev_offset, prev_len, this_depth) =
+                record_header(&mut IndexReader::new(&bytes, &name)?)?;
+            let want = depth.map_or(this_depth, |d: u32| d - 1);
+            if this_depth != want || this_depth as usize > MAX_DELTA_CHAIN {
+                return Err(StoreError::Corrupt {
+                    file: name,
+                    what: format!(
+                        "index record at {offset} has depth {this_depth}, expected {want} \
+                         (at most {MAX_DELTA_CHAIN})"
+                    ),
+                });
+            }
+            depth = Some(this_depth);
+            records.push((offset, bytes));
+            if this_depth == 0 {
+                break;
+            }
+            if prev_offset.saturating_add(prev_len) > offset {
+                return Err(StoreError::Corrupt {
+                    file: name,
+                    what: format!("index record at {offset} points forward to {prev_offset}"),
+                });
+            }
+            (offset, len) = (prev_offset, prev_len);
+        }
+
+        // Replay: the full index first, then every delta in order.
+        for (offset, bytes) in records.iter().rev() {
+            let mut r = IndexReader::new(bytes, &name)?;
+            record_header(&mut r)?;
+            self.apply_index(&mut r, sb.version, *offset, &name)?;
+        }
+        self.file_bytes = slot.record_offset + slot.record_len;
+        self.log = Some(Log {
+            slots_offset: sb.index_offset,
+            active,
+            generation: slot.generation,
+            head: (slot.record_offset, slot.record_len),
+            depth: records.len() as u32 - 1,
+            record_bytes: records.iter().map(|(_, b)| b.len() as u64).sum(),
+        });
+        self.file = Some(file);
+        Ok(())
+    }
+
+    /// Applies one index body — a full index, or a version-3 delta —
+    /// on top of the tables loaded so far. Every chunk it lists must
+    /// lie before `limit`, the offset of the index that lists it.
+    fn apply_index(
+        &mut self,
+        r: &mut IndexReader<'_>,
+        version: u32,
+        limit: u64,
+        name: &str,
+    ) -> Result<(), StoreError> {
+        let corrupt = |what: String| StoreError::Corrupt {
+            file: name.to_string(),
+            what,
+        };
+        let n_series = r.count64("series count", SERIES_KEY_MIN)?;
         for _ in 0..n_series {
             let program = r.str16("series program")?;
             let run_index = r.u32("series run index")?;
-            let mode = mode_from_tag(r.u8("series mode")?, &name)?;
+            let mode = mode_from_tag(r.u8("series mode")?, name)?;
             let event = EventId::new(r.u64("series event")? as usize);
             // Version 1 stored exactly one chunk per series, inline;
-            // version 2 prefixes each series with its chain length.
-            let n_chunks = if sb.version >= 2 {
-                r.u32("series chunk count")? as usize
+            // version 2 prefixes each series with its chain length;
+            // version 3 also says how many chunks of the series'
+            // previous chain the entry keeps.
+            let keep = if version >= 3 {
+                r.u32("series kept chunks")? as usize
+            } else {
+                0
+            };
+            let n_chunks = if version >= 2 {
+                r.count32("series chunk count", CHUNK_REF_LEN)?
             } else {
                 1
             };
-            if n_chunks == 0 {
-                return Err(StoreError::Corrupt {
-                    file: name,
-                    what: "series with an empty chunk chain".to_string(),
-                });
+            let key = SeriesKey {
+                program,
+                run_index,
+                mode,
+                event,
+            };
+            let state = self.chunks.entry(key).or_insert(SeriesState {
+                disk: Vec::new(),
+                tail: None,
+            });
+            if keep > state.disk.len() {
+                return Err(corrupt(format!(
+                    "series entry keeps {keep} chunks of a {}-chunk chain",
+                    state.disk.len()
+                )));
             }
-            let mut disk = Vec::with_capacity(n_chunks);
+            state.disk.truncate(keep);
+            state.disk.reserve(n_chunks);
             for _ in 0..n_chunks {
                 let encoding =
-                    Encoding::from_tag(r.u8("series encoding")?).map_err(|e| e.with_file(&name))?;
+                    Encoding::from_tag(r.u8("series encoding")?).map_err(|e| e.with_file(name))?;
                 let count = r.u64("series value count")?;
                 let offset = r.u64("series chunk offset")?;
                 let len = r.u64("series chunk length")?;
                 let crc = r.u32("series chunk crc")?;
-                if offset.saturating_add(len) > sb.index_offset {
-                    return Err(StoreError::Corrupt {
-                        file: name,
-                        what: format!("chunk at {offset}+{len} overlaps the index"),
-                    });
+                if offset.saturating_add(len) > limit {
+                    return Err(corrupt(format!(
+                        "chunk at {offset}+{len} overlaps the index"
+                    )));
                 }
-                disk.push(ChunkRef {
+                // The count sizes the decode buffer, so it must fit the
+                // payload: eight bytes per raw value, at least one per
+                // varint.
+                let fits = match encoding {
+                    Encoding::RawF64 => count.checked_mul(8) == Some(len),
+                    Encoding::DeltaVarint => count <= len,
+                };
+                if !fits {
+                    return Err(corrupt(format!(
+                        "chunk at {offset} claims {count} values in {len} bytes"
+                    )));
+                }
+                state.disk.push(ChunkRef {
                     encoding,
                     count,
                     offset,
@@ -449,22 +640,16 @@ impl Store {
                     crc,
                 });
             }
-            self.chunks.insert(
-                SeriesKey {
-                    program,
-                    run_index,
-                    mode,
-                    event,
-                },
-                SeriesState { disk, tail: None },
-            );
+            if state.disk.is_empty() {
+                return Err(corrupt("series with an empty chunk chain".to_string()));
+            }
         }
 
-        let n_runs = r.u64("run count")?;
+        let n_runs = r.count64("run count", RUN_ENTRY_MIN)?;
         for _ in 0..n_runs {
             let program = r.str16("run program")?;
             let run_index = r.u32("run index")?;
-            let mode = mode_from_tag(r.u8("run mode")?, &name)?;
+            let mode = mode_from_tag(r.u8("run mode")?, name)?;
             let exec_time = r.f64("run exec time")?;
             self.runs.insert(
                 RunId {
@@ -476,21 +661,15 @@ impl Store {
             );
         }
 
-        let n_meta = r.u64("meta count")?;
+        let n_meta = r.count64("meta count", META_ENTRY_MIN)?;
         for _ in 0..n_meta {
             let key = r.str16("meta key")?;
             let value = r.str32("meta value")?;
             self.meta.insert(key, value);
         }
         if !r.at_end() {
-            return Err(StoreError::Corrupt {
-                file: name,
-                what: "index has trailing bytes".to_string(),
-            });
+            return Err(corrupt("index has trailing bytes".to_string()));
         }
-
-        self.file_bytes = file_len;
-        self.file = Some(file);
         Ok(())
     }
 
@@ -612,16 +791,19 @@ impl Store {
         for (event, series) in record.iter() {
             self.append_series(key(event), series.values())?;
         }
-        self.runs.insert(id, record.exec_time_secs());
-        self.tables_dirty = true;
+        self.runs.insert(id.clone(), record.exec_time_secs());
+        self.dirty_runs.insert(id);
         Ok(())
     }
 
     /// Sets one store-level metadata entry (persisted on commit).
     pub fn set_meta(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.generation += 1;
-        self.meta.insert(key.into(), value.into());
-        self.tables_dirty = true;
+        let (key, value) = (key.into(), value.into());
+        if self.meta.get(&key) != Some(&value) {
+            self.meta.insert(key.clone(), value);
+            self.dirty_meta.insert(key);
+        }
     }
 
     /// Reads one store-level metadata entry.
@@ -1025,8 +1207,8 @@ impl Store {
     }
 
     /// Reads and CRC-verifies one committed chunk's raw payload bytes
-    /// (no decode) — the byte-copy path commit uses to carry unchanged
-    /// chunks into the next file generation.
+    /// (no decode) — the byte-copy path compaction uses to carry
+    /// unchanged chunks into the new file.
     fn read_committed_payload(&self, chunk: &ChunkRef) -> Result<Vec<u8>, StoreError> {
         let file = self.file.as_ref().ok_or_else(|| StoreError::Corrupt {
             file: self.file_name(),
@@ -1043,77 +1225,239 @@ impl Store {
         Ok(payload)
     }
 
-    /// Makes every staged write durable: builds the complete store file
-    /// under a temporary name (committed chunks are byte-copied without
-    /// re-encoding, staged tails are encoded as fresh chunks appended
-    /// to each series' chain), fsyncs it, and atomically renames it
-    /// over the store path.
+    /// Makes every staged write durable.
+    ///
+    /// A commit to a version-3 file writes only new bytes: it appends
+    /// each staged tail as a fresh chunk, then an index delta holding
+    /// the changed series' chain entries and the changed run-table and
+    /// metadata entries, fsyncs, overwrites the older of the file's two
+    /// superblock slots to name the delta, and fsyncs again. Committed
+    /// chunks are neither read nor copied, so their cached decodes stay
+    /// valid.
+    ///
+    /// The commit *compacts* instead — writes the complete next file,
+    /// with one full index, under a temporary name, fsyncs it and
+    /// renames it over the store path — when no file exists yet, the
+    /// file predates version 3, the delta chain would exceed
+    /// [`MAX_DELTA_CHAIN`], dead bytes exceed [`MAX_DEAD_PER_LIVE`]
+    /// times the live ones, or the slots no longer name this handle's
+    /// newest generation (another handle committed to the file, or a
+    /// failed commit's slot write landed).
     ///
     /// A series whose chain would exceed [`MAX_CHUNK_CHAIN`] links is
-    /// *compacted* instead: its committed chunks and staged tail are
-    /// decoded, concatenated, and re-encoded as a single chunk, so
-    /// streamed appends cannot degrade reads indefinitely.
+    /// compacted on its own either way: its committed chunks and staged
+    /// tail are decoded, concatenated, and re-encoded as a single
+    /// chunk, so streamed appends cannot degrade reads indefinitely.
     ///
     /// A no-op when nothing is staged and the file already exists.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failure; the previously
-    /// committed state is preserved on any error.
+    /// Returns [`StoreError::Io`] on filesystem failure. On any error
+    /// the handle keeps its staged writes and reads at the previously
+    /// committed generation, and a fresh open finds either that
+    /// generation or the new one.
     pub fn commit(&mut self) -> Result<(), StoreError> {
-        if !self.has_staged() && !self.tables_dirty && self.file.is_some() {
+        if !self.has_staged() && !self.tables_dirty() && self.file.is_some() {
             return Ok(());
         }
         self.generation += 1;
         let _span = cm_obs::span!("store.commit");
-
-        // An encoded chunk ready to hit disk: encoding, value count,
-        // payload bytes.
-        type EncodedChunk = (Encoding, u64, Vec<u8>);
-
-        // Build each series' new chunk chain, in key order.
-        let mut payloads: Vec<(SeriesKey, Vec<EncodedChunk>)> =
-            Vec::with_capacity(self.chunks.len());
-        let mut staged_chunks = 0u64;
-        let mut compactions = 0u64;
-        for (key, state) in &self.chunks {
-            let chain_len = state.disk.len() + usize::from(state.has_tail());
-            let mut chain: Vec<EncodedChunk> = Vec::with_capacity(chain_len.min(MAX_CHUNK_CHAIN));
-            if chain_len > MAX_CHUNK_CHAIN {
-                // Compact: decode the whole chain plus the tail and
-                // re-encode the series as one chunk.
-                let mut values = Vec::with_capacity(state.len() as usize);
-                for chunk in &state.disk {
-                    values.extend_from_slice(&self.read_chunk(chunk)?);
-                }
-                if let Some(tail) = &state.tail {
-                    values.extend_from_slice(tail);
-                }
-                let (encoding, payload) = codec::encode_chunk(&values);
-                staged_chunks += 1;
-                compactions += 1;
-                chain.push((encoding, values.len() as u64, payload));
-            } else {
-                for chunk in &state.disk {
-                    let payload = self.read_committed_payload(chunk)?;
-                    chain.push((chunk.encoding, chunk.count, payload));
-                }
-                if let Some(tail) = &state.tail {
-                    let (encoding, payload) = codec::encode_chunk(tail);
-                    staged_chunks += 1;
-                    chain.push((encoding, tail.len() as u64, payload));
-                }
+        if let Some(log) = self.log.filter(|log| !self.needs_compaction(log)) {
+            match self.vfs.open_rw(&self.path) {
+                Ok(mut f) if slots_name(&*f, &log)? => return self.append_commit(log, &mut *f),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
             }
-            payloads.push((key.clone(), chain));
+        }
+        self.compact()
+    }
+
+    fn tables_dirty(&self) -> bool {
+        !self.dirty_runs.is_empty() || !self.dirty_meta.is_empty()
+    }
+
+    /// Whether the delta chain is full or dead bytes outweigh the live
+    /// ones (committed chunks, replayed index records, header, slots).
+    fn needs_compaction(&self, log: &Log) -> bool {
+        let chunk_bytes: u64 = self
+            .chunks
+            .values()
+            .flat_map(|state| &state.disk)
+            .map(|c| c.len)
+            .sum();
+        let live = (SUPERBLOCK_LEN + 2 * SLOT_LEN) as u64 + chunk_bytes + log.record_bytes;
+        log.depth as usize >= MAX_DELTA_CHAIN
+            || self.file_bytes.saturating_sub(live) > live.saturating_mul(MAX_DEAD_PER_LIVE)
+    }
+
+    /// The new chunk a series commits with, if it has a staged tail,
+    /// and how many of its committed chunks the chain keeps before it:
+    /// all of them, or none when the chain would exceed
+    /// [`MAX_CHUNK_CHAIN`] and the series is re-encoded as one chunk.
+    fn staged_chunk(
+        &self,
+        state: &SeriesState,
+    ) -> Result<Option<(usize, EncodedChunk)>, StoreError> {
+        let Some(tail) = &state.tail else {
+            return Ok(None);
+        };
+        if state.disk.len() < MAX_CHUNK_CHAIN {
+            let (encoding, payload) = codec::encode_chunk(tail);
+            return Ok(Some((
+                state.disk.len(),
+                (encoding, tail.len() as u64, payload),
+            )));
+        }
+        let mut values = Vec::with_capacity(state.len() as usize);
+        for chunk in &state.disk {
+            values.extend_from_slice(&self.read_chunk(chunk)?);
+        }
+        values.extend_from_slice(tail);
+        let (encoding, payload) = codec::encode_chunk(&values);
+        cm_obs::counter_add("store.compactions", 1);
+        Ok(Some((0, (encoding, values.len() as u64, payload))))
+    }
+
+    /// The append commit: new chunks and an index delta at the end of
+    /// the committed bytes, then the older slot.
+    fn append_commit(&mut self, log: Log, f: &mut dyn VfsFile) -> Result<(), StoreError> {
+        // New chunks go out in batches of about WRITE_BATCH bytes, so a
+        // commit never buffers all of its payloads at once. `at` is
+        // where `pending` starts in the file.
+        const WRITE_BATCH: usize = 1 << 16;
+        let start = self.file_bytes;
+        let (mut at, mut pending) = (start, Vec::new());
+        let mut changed: Vec<(SeriesKey, usize, ChunkRef)> = Vec::new();
+        for (key, state) in &self.chunks {
+            let Some((keep, (encoding, count, payload))) = self.staged_chunk(state)? else {
+                continue;
+            };
+            let chunk = ChunkRef {
+                encoding,
+                count,
+                offset: at + pending.len() as u64,
+                len: payload.len() as u64,
+                crc: codec::crc32(&payload),
+            };
+            pending.extend_from_slice(&payload);
+            changed.push((key.clone(), keep, chunk));
+            if pending.len() >= WRITE_BATCH {
+                f.write_all_at(&pending, at)?;
+                at += pending.len() as u64;
+                pending.clear();
+            }
         }
 
-        // Lay the file out: superblock, chunks, index.
-        let mut refs: Vec<Vec<ChunkRef>> = Vec::with_capacity(payloads.len());
+        let record_offset = at + pending.len() as u64;
+        let mut w = IndexWriter::new();
+        w.u64(log.head.0);
+        w.u64(log.head.1);
+        w.u32(log.depth + 1);
+        w.u64(changed.len() as u64);
+        for (key, keep, chunk) in &changed {
+            write_series_entry(&mut w, key, *keep, std::slice::from_ref(chunk));
+        }
+        self.write_tables(&mut w, self.dirty_runs.iter(), self.dirty_meta.iter());
+        let record = w.finish();
+        pending.extend_from_slice(&record);
+        let slot = Slot {
+            generation: log.generation + 1,
+            record_offset,
+            record_len: record.len() as u64,
+        };
+        let flip = 1 - log.active;
+
+        // The slot names the delta only once the delta is durable. If
+        // any write fails, the handle's tables are untouched; a slot
+        // left naming the new generation makes the next commit compact
+        // (see `slots_name`).
+        f.write_all_at(&pending, at)?;
+        f.sync_all()?;
+        f.write_all_at(&slot.encode(), log.slot_offset(flip))?;
+        f.sync_all()?;
+
+        let appended = record_offset + slot.record_len - start;
+        cm_obs::counter_add("store.commits", 1);
+        cm_obs::counter_add("store.chunks_written", changed.len() as u64);
+        cm_obs::counter_add("store.bytes_written", appended + SLOT_LEN as u64);
+
+        // Committed chunks keep their offsets, so the cache stays warm;
+        // only the chunks a re-encoded series dropped leave it.
+        for (key, keep, chunk) in changed {
+            let state = self.chunks.get_mut(&key).expect("changed series exists");
+            for dead in &state.disk[keep..] {
+                self.cache.remove(self.salt, dead.offset);
+            }
+            state.disk.truncate(keep);
+            state.disk.push(chunk);
+            state.tail = None;
+        }
+        self.file_bytes = record_offset + slot.record_len;
+        self.log = Some(Log {
+            active: flip,
+            generation: slot.generation,
+            head: (record_offset, slot.record_len),
+            depth: log.depth + 1,
+            record_bytes: log.record_bytes + slot.record_len,
+            ..log
+        });
+        self.dirty_runs.clear();
+        self.dirty_meta.clear();
+        Ok(())
+    }
+
+    /// Appends the run-table and metadata entries named by `runs` and
+    /// `meta` to an index body.
+    fn write_tables<'k>(
+        &self,
+        w: &mut IndexWriter,
+        runs: impl ExactSizeIterator<Item = &'k RunId>,
+        meta: impl ExactSizeIterator<Item = &'k String>,
+    ) {
+        w.u64(runs.len() as u64);
+        for id in runs {
+            w.str16(&id.program);
+            w.u32(id.run_index);
+            w.u8(mode_tag(id.mode));
+            w.f64(self.runs[id]);
+        }
+        w.u64(meta.len() as u64);
+        for key in meta {
+            w.str16(key);
+            w.str32(&self.meta[key]);
+        }
+    }
+
+    /// The compaction commit: writes the whole next file — header,
+    /// every chunk (committed ones byte-copied and CRC-verified, staged
+    /// tails encoded), the slot pair and one full index — under a
+    /// temporary name, fsyncs it, and renames it over the store path.
+    fn compact(&mut self) -> Result<(), StoreError> {
+        // Plan each series' next chain, in key order: the committed
+        // chunks it keeps, then its new chunk.
+        let mut plans: Vec<(&SeriesKey, &[ChunkRef], Option<EncodedChunk>)> =
+            Vec::with_capacity(self.chunks.len());
+        for (key, state) in &self.chunks {
+            let (keep, fresh) = match self.staged_chunk(state)? {
+                Some((keep, chunk)) => (keep, Some(chunk)),
+                None => (state.disk.len(), None),
+            };
+            plans.push((key, &state.disk[..keep], fresh));
+        }
+
+        // Lay the file out: header, chunks, slot pair, full index.
+        let mut refs: Vec<Vec<ChunkRef>> = Vec::with_capacity(plans.len());
         let mut offset = SUPERBLOCK_LEN as u64;
-        for (_, chain) in &payloads {
-            let mut chain_refs = Vec::with_capacity(chain.len());
-            for (encoding, count, payload) in chain {
-                chain_refs.push(ChunkRef {
+        for (_, kept, fresh) in &plans {
+            let mut chain = Vec::with_capacity(kept.len() + 1);
+            for chunk in *kept {
+                chain.push(ChunkRef { offset, ..*chunk });
+                offset += chunk.len;
+            }
+            if let Some((encoding, count, payload)) = fresh {
+                chain.push(ChunkRef {
                     encoding: *encoding,
                     count: *count,
                     offset,
@@ -1122,76 +1466,70 @@ impl Store {
                 });
                 offset += payload.len() as u64;
             }
-            refs.push(chain_refs);
+            refs.push(chain);
         }
-        let index_offset = offset;
+        let slots_offset = offset;
+        let record_offset = slots_offset + 2 * SLOT_LEN as u64;
 
+        // No previous record: a full index, at depth 0.
         let mut w = IndexWriter::new();
-        w.u64(payloads.len() as u64);
-        for ((key, _), chain) in payloads.iter().zip(&refs) {
-            w.str16(&key.program);
-            w.u32(key.run_index);
-            w.u8(mode_tag(key.mode));
-            w.u64(key.event.index() as u64);
-            w.u32(chain.len() as u32);
-            for chunk in chain {
-                w.u8(chunk.encoding.tag());
-                w.u64(chunk.count);
-                w.u64(chunk.offset);
-                w.u64(chunk.len);
-                w.u32(chunk.crc);
-            }
+        w.u64(0);
+        w.u64(0);
+        w.u32(0);
+        w.u64(plans.len() as u64);
+        for ((key, _, _), chain) in plans.iter().zip(&refs) {
+            write_series_entry(&mut w, key, 0, chain);
         }
-        w.u64(self.runs.len() as u64);
-        for (id, &secs) in &self.runs {
-            w.str16(&id.program);
-            w.u32(id.run_index);
-            w.u8(mode_tag(id.mode));
-            w.f64(secs);
-        }
-        w.u64(self.meta.len() as u64);
-        for (key, value) in &self.meta {
-            w.str16(key);
-            w.str32(value);
-        }
-        let index = w.finish();
-
-        let sb = Superblock {
+        self.write_tables(&mut w, self.runs.keys(), self.meta.keys());
+        let record = w.finish();
+        let header = Superblock {
             version: VERSION,
-            index_offset,
-            index_len: index.len() as u64,
+            index_offset: slots_offset,
+            index_len: 2 * SLOT_LEN as u64,
+        };
+        let slot = Slot {
+            generation: self.log.map_or(0, |log| log.generation) + 1,
+            record_offset,
+            record_len: record.len() as u64,
         };
 
         // Write, fsync, rename: atomic replacement of the store file.
+        // Kept chunks are copied one at a time, so the commit never
+        // holds the whole file's payloads in memory.
         let tmp = tmp_path(&self.path);
         {
             let mut f = self.vfs.create(&tmp)?;
-            f.write_all(&sb.encode())?;
-            for (_, chain) in &payloads {
-                for (_, _, payload) in chain {
+            f.write_all(&header.encode())?;
+            for (_, kept, fresh) in &plans {
+                for chunk in *kept {
+                    f.write_all(&self.read_committed_payload(chunk)?)?;
+                }
+                if let Some((_, _, payload)) = fresh {
                     f.write_all(payload)?;
                 }
             }
-            f.write_all(&index)?;
+            let mut slots = [0u8; 2 * SLOT_LEN];
+            slots[..SLOT_LEN].copy_from_slice(&slot.encode());
+            f.write_all(&slots)?;
+            f.write_all(&record)?;
             f.sync_all()?;
         }
         self.vfs.rename(&tmp, &self.path)?;
 
-        let total_bytes = index_offset + index.len() as u64;
+        let total_bytes = record_offset + record.len() as u64;
+        let fresh_chunks = plans.iter().filter(|(_, _, fresh)| fresh.is_some()).count();
         cm_obs::counter_add("store.commits", 1);
-        cm_obs::counter_add("store.chunks_written", staged_chunks);
+        cm_obs::counter_add("store.chunks_written", fresh_chunks as u64);
         cm_obs::counter_add("store.bytes_written", total_bytes);
-        if compactions > 0 {
-            cm_obs::counter_add("store.compactions", compactions);
-        }
 
-        // Swap in the new file: all offsets changed, so committed chunk
-        // refs are rebuilt and this store's cache entries are
+        // Swap in the new file: every offset changed, so committed
+        // chunk refs are rebuilt and this store's cache entries are
         // invalidated (other stores sharing the cache keep theirs).
+        let keys: Vec<SeriesKey> = plans.into_iter().map(|(key, _, _)| key.clone()).collect();
         self.file = Some(self.vfs.open(&self.path)?);
         self.file_bytes = total_bytes;
         self.cache.clear_salt(self.salt);
-        for ((key, _), chain) in payloads.into_iter().zip(refs) {
+        for (key, chain) in keys.into_iter().zip(refs) {
             self.chunks.insert(
                 key,
                 SeriesState {
@@ -1200,9 +1538,91 @@ impl Store {
                 },
             );
         }
-        self.tables_dirty = false;
+        self.log = Some(Log {
+            slots_offset,
+            active: 0,
+            generation: slot.generation,
+            head: (record_offset, slot.record_len),
+            depth: 0,
+            record_bytes: slot.record_len,
+        });
+        self.dirty_runs.clear();
+        self.dirty_meta.clear();
         Ok(())
     }
+}
+
+/// Whether the slots of the file behind `f` still name `log`'s newest
+/// generation. They do not when another handle has committed to (or
+/// replaced) the file since this one loaded it, or a slot write was
+/// silently lost; appending after `log`'s newest record could then
+/// overwrite bytes a slot names, so the commit compacts instead.
+fn slots_name(f: &dyn VfsFile, log: &Log) -> Result<bool, StoreError> {
+    let mut slots = [0u8; 2 * SLOT_LEN];
+    if f.len()? < log.slots_offset + slots.len() as u64 {
+        return Ok(false);
+    }
+    f.read_exact_at(&mut slots, log.slots_offset)?;
+    let on_disk = [0, 1].map(|i| Slot::decode(&slots[i * SLOT_LEN..]));
+    let ours = Slot {
+        generation: log.generation,
+        record_offset: log.head.0,
+        record_len: log.head.1,
+    };
+    let newer = on_disk[1 - log.active].is_some_and(|other| other.generation > log.generation);
+    Ok(on_disk[log.active] == Some(ours) && !newer)
+}
+
+/// Reads a version-3 index record's header: the previous record's
+/// offset and length, and the record's depth.
+fn record_header(r: &mut IndexReader<'_>) -> Result<(u64, u64, u32), StoreError> {
+    Ok((
+        r.u64("record back-pointer")?,
+        r.u64("record back-pointer")?,
+        r.u32("record depth")?,
+    ))
+}
+
+/// Appends one version-3 series entry: the key, how many chunks of the
+/// series' previous chain it keeps, and the chunks that follow them.
+fn write_series_entry(w: &mut IndexWriter, key: &SeriesKey, keep: usize, chunks: &[ChunkRef]) {
+    w.str16(&key.program);
+    w.u32(key.run_index);
+    w.u8(mode_tag(key.mode));
+    w.u64(key.event.index() as u64);
+    w.u32(keep as u32);
+    w.u32(chunks.len() as u32);
+    for chunk in chunks {
+        w.u8(chunk.encoding.tag());
+        w.u64(chunk.count);
+        w.u64(chunk.offset);
+        w.u64(chunk.len);
+        w.u32(chunk.crc);
+    }
+}
+
+/// Reads `len` bytes at `offset`, or reports the file as truncated when
+/// they do not fit inside its `file_len` bytes.
+fn read_region(
+    file: &dyn VfsFile,
+    offset: u64,
+    len: u64,
+    file_len: u64,
+    what: &str,
+    name: &str,
+) -> Result<Vec<u8>, StoreError> {
+    if offset.checked_add(len).is_none_or(|end| end > file_len) {
+        return Err(StoreError::Truncated {
+            file: name.to_string(),
+            what: format!(
+                "{what} claims bytes {offset}..{} but the file holds {file_len}",
+                offset.saturating_add(len)
+            ),
+        });
+    }
+    let mut buf = vec![0u8; len as usize];
+    file.read_exact_at(&mut buf, offset)?;
+    Ok(buf)
 }
 
 fn duplicate_series(key: &SeriesKey) -> StoreError {
@@ -1620,6 +2040,479 @@ mod tests {
         let reopened = Store::open(&path).unwrap();
         assert!(!tmp_path(&path).exists(), "tmp cleaned up on open");
         assert_eq!(*reopened.read_series(&key("a", 0, 1)).unwrap(), vec![9.0]);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Everything a reader sees: series values (as bits, so NaN
+    /// compares), the run table and the metadata.
+    type Contents = (
+        Vec<(SeriesKey, Vec<u64>)>,
+        Vec<(RunId, u64)>,
+        Vec<(String, String)>,
+    );
+
+    fn contents(store: &Store) -> Result<Contents, StoreError> {
+        let mut series = Vec::new();
+        for key in store.series_keys() {
+            let values = store.read_series(key)?;
+            series.push((key.clone(), values.iter().map(|v| v.to_bits()).collect()));
+        }
+        let runs = store
+            .run_ids()
+            .map(|id| (id.clone(), store.exec_time_secs(id).unwrap().to_bits()))
+            .collect();
+        let meta = store
+            .meta
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        Ok((series, runs, meta))
+    }
+
+    #[test]
+    fn append_commits_write_only_new_bytes() {
+        let path = temp_store("append_only");
+        let mut store = Store::open(&path).unwrap();
+        store.append_series(key("a", 0, 1), &[1.0, 2.0]).unwrap();
+        store.append_series(key("a", 0, 2), &[0.5]).unwrap();
+        store.commit().unwrap();
+        let before = fs::read(&path).unwrap();
+        let log = store.log.unwrap();
+
+        store.extend_series(key("a", 0, 1), &[3.0]).unwrap();
+        store.set_meta("rows", "3");
+        // Big enough that the new chunks go out in several writes.
+        let big: Vec<f64> = (0..20_000).map(|i| f64::from(i) + 0.5).collect();
+        store.append_series(key("b", 0, 1), &big).unwrap();
+        store.append_series(key("c", 0, 1), &big[..9000]).unwrap();
+        store.commit().unwrap();
+        let after = fs::read(&path).unwrap();
+
+        // Every old byte is as it was, except the slot the commit
+        // flipped; the commit's bytes follow the old end.
+        let flipped = log.slot_offset(1) as usize..log.slot_offset(1) as usize + SLOT_LEN;
+        assert!(after.len() > before.len());
+        for (i, (a, b)) in before.iter().zip(&after).enumerate() {
+            assert!(a == b || flipped.contains(&i), "byte {i} was rewritten");
+        }
+        let head = store.log.unwrap();
+        assert_eq!(
+            (head.active, head.depth, head.generation),
+            (1, 1, log.generation + 1)
+        );
+        // The unchanged series keeps its chunk where it was.
+        assert_eq!(
+            store.chunks[&key("a", 0, 2)].disk[0].offset,
+            SUPERBLOCK_LEN as u64 + store.chunks[&key("a", 0, 1)].disk[0].len
+        );
+
+        let reopened = Store::open(&path).unwrap();
+        assert_eq!(contents(&reopened).unwrap(), contents(&store).unwrap());
+        assert_eq!(reopened.log.unwrap().depth, 1);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn delta_chain_and_dead_bytes_trigger_compaction() {
+        let path = temp_store("chain_bound");
+        let mut store = Store::open(&path).unwrap();
+        store.append_series(key("a", 0, 1), &[0.0]).unwrap();
+        // Enough padding that the one series' rewrites stay below the
+        // dead-byte bound until the delta chain fills.
+        store.append_series(key("pad", 0, 1), &[0.5; 4096]).unwrap();
+        store.commit().unwrap();
+        let mut expect = vec![0.0];
+        for i in 1..=MAX_DELTA_CHAIN + 1 {
+            store.extend_series(key("a", 0, 1), &[i as f64]).unwrap();
+            expect.push(i as f64);
+            store.commit().unwrap();
+            let depth = store.log.unwrap().depth as usize;
+            assert_eq!(depth, i % (MAX_DELTA_CHAIN + 1), "commit {i}");
+        }
+        assert_eq!(*store.read_series(&key("a", 0, 1)).unwrap(), expect);
+
+        // Re-encoding a large series whenever its chain fills leaves its
+        // old chunks dead; once they outweigh the live bytes, the next
+        // commit compacts the file.
+        let path = temp_store("dead_bound");
+        let mut store = Store::open(&path).unwrap();
+        store.append_series(key("a", 0, 1), &[0.5; 512]).unwrap();
+        store.commit().unwrap();
+        let mut appended = 0;
+        while !store.needs_compaction(&store.log.unwrap()) {
+            assert!(appended < 3 * MAX_CHUNK_CHAIN, "dead bytes never compacted");
+            store.extend_series(key("a", 0, 1), &[0.25]).unwrap();
+            store.commit().unwrap();
+            appended += 1;
+        }
+        // One re-encode leaves fewer dead bytes than live ones.
+        assert!(appended > MAX_CHUNK_CHAIN);
+        assert!(store.log.unwrap().depth > 0);
+        store.set_meta("k", "v");
+        store.commit().unwrap();
+        assert_eq!(store.log.unwrap().depth, 0);
+        assert_eq!(store.file_bytes, fs::metadata(&path).unwrap().len());
+        assert_eq!(
+            store.read_series(&key("a", 0, 1)).unwrap().len(),
+            512 + appended
+        );
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A crash can stop an append commit after any byte of its tail, or
+    /// tear the slot it flips. Every such file opens at exactly the
+    /// previous generation or the new one, and the next commit from
+    /// the reopened handle lands cleanly.
+    #[test]
+    fn every_crash_point_of_an_append_opens_at_one_generation() {
+        let path = temp_store("crash_points");
+        let mut store = Store::open(&path).unwrap();
+        store.append_series(key("a", 0, 1), &[1.0, 2.0]).unwrap();
+        store.append_series(key("a", 0, 2), &[0.5, -1.5]).unwrap();
+        store.set_meta("rows", "2");
+        store.commit().unwrap();
+
+        // Two appends, so each slot gets flipped once.
+        for round in 0..2u32 {
+            let old = fs::read(&path).unwrap();
+            let previous = contents(&Store::open(&path).unwrap()).unwrap();
+            let log = store.log.unwrap();
+            let v = f64::from(round + 3);
+            store.extend_series(key("a", 0, 1), &[v]).unwrap();
+            store.append_series(key("b", round, 1), &[v, 0.25]).unwrap();
+            let mut run = RunRecord::new("r", round, SampleMode::Ocoe);
+            run.set_exec_time_secs(v);
+            store.append_run(&run).unwrap();
+            store.set_meta("rows", v.to_string());
+            store.commit().unwrap();
+            let new = fs::read(&path).unwrap();
+            let next = contents(&store).unwrap();
+            let tail = &new[old.len()..];
+            let slot_at = log.slot_offset(1 - log.active) as usize;
+            let (old_slot, new_slot) = (
+                &old[slot_at..slot_at + SLOT_LEN],
+                &new[slot_at..slot_at + SLOT_LEN],
+            );
+
+            let opens_at = |bytes: &[u8]| {
+                fs::write(&path, bytes).unwrap();
+                contents(&Store::open(&path).unwrap()).unwrap()
+            };
+            // Torn tail, slot not yet flipped: the previous generation.
+            for k in 0..=tail.len() {
+                let mut file = old.clone();
+                file.extend_from_slice(&tail[..k]);
+                assert_eq!(opens_at(&file), previous, "round {round}: tail cut at {k}");
+            }
+            // Whole tail, slot torn either way round: one of the two.
+            for k in 0..=SLOT_LEN {
+                for torn in [
+                    [&new_slot[..k], &old_slot[k..]].concat(),
+                    [&old_slot[..k], &new_slot[k..]].concat(),
+                ] {
+                    let mut file = new.clone();
+                    file[slot_at..slot_at + SLOT_LEN].copy_from_slice(&torn);
+                    let got = opens_at(&file);
+                    assert!(
+                        got == previous || got == next,
+                        "round {round}: slot torn at {k}"
+                    );
+                }
+            }
+
+            // A handle opened over a half-written tail appends over it.
+            let mut file = old.clone();
+            file.extend_from_slice(&tail[..tail.len() / 2]);
+            fs::write(&path, &file).unwrap();
+            let mut reopened = Store::open(&path).unwrap();
+            reopened.extend_series(key("a", 0, 2), &[9.0]).unwrap();
+            reopened.commit().unwrap();
+            let want = contents(&reopened).unwrap();
+            assert_eq!(contents(&Store::open(&path).unwrap()).unwrap(), want);
+
+            // Restore the real new generation for the next round.
+            fs::write(&path, &new).unwrap();
+            store.reload().unwrap();
+            assert_eq!(contents(&store).unwrap(), next);
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A handle that missed another handle's commit compacts rather
+    /// than appending over bytes the other's slot names: the last
+    /// writer wins, as with whole-file rewrites, and the file stays
+    /// whole.
+    #[test]
+    fn stale_handle_compacts_instead_of_appending() {
+        let path = temp_store("stale");
+        let mut first = Store::open(&path).unwrap();
+        first.append_series(key("a", 0, 1), &[1.0]).unwrap();
+        first.commit().unwrap();
+        let mut stale = Store::open(&path).unwrap();
+
+        first.extend_series(key("a", 0, 1), &[2.0]).unwrap();
+        first.commit().unwrap();
+        assert_eq!(first.log.unwrap().depth, 1);
+
+        stale.extend_series(key("a", 0, 1), &[3.0]).unwrap();
+        stale.commit().unwrap();
+        assert_eq!(stale.log.unwrap().depth, 0, "a stale append must compact");
+        let reopened = Store::open(&path).unwrap();
+        assert_eq!(
+            *reopened.read_series(&key("a", 0, 1)).unwrap(),
+            vec![1.0, 3.0]
+        );
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes `body` as an index with its CRC, for hand-built files.
+    fn index(body: impl FnOnce(&mut IndexWriter)) -> Vec<u8> {
+        let mut w = IndexWriter::new();
+        body(&mut w);
+        w.finish()
+    }
+
+    fn chunk_ref(w: &mut IndexWriter, values: &[f64], count: u64, offset: u64) {
+        let (encoding, payload) = codec::encode_chunk(values);
+        w.u8(encoding.tag());
+        w.u64(count);
+        w.u64(offset);
+        w.u64(payload.len() as u64);
+        w.u32(codec::crc32(&payload));
+    }
+
+    fn key_entry(w: &mut IndexWriter) {
+        w.str16("hostile");
+        w.u32(0);
+        w.u8(mode_tag(SampleMode::Mlpx));
+        w.u64(7);
+    }
+
+    fn tables(w: &mut IndexWriter, n_runs: u64, n_meta: u64) {
+        w.u64(n_runs);
+        w.str16("hostile");
+        w.u32(0);
+        w.u8(mode_tag(SampleMode::Mlpx));
+        w.f64(1.5);
+        w.u64(n_meta);
+        w.str16("k");
+        w.str32("v");
+    }
+
+    /// On-disk counts of a hand-built file; `valid()` describes a file
+    /// that opens.
+    #[derive(Clone, Copy, Debug)]
+    struct Counts {
+        series: u64,
+        keep: u32,
+        chunks: u32,
+        values: u64,
+        runs: u64,
+        meta: u64,
+        /// Version 3 only: the delta's back-pointer (`None` = the real
+        /// full index) and depth.
+        prev: Option<(u64, u64)>,
+        depth: u32,
+    }
+
+    impl Counts {
+        fn valid() -> Self {
+            Counts {
+                series: 1,
+                keep: 1,
+                chunks: 1,
+                values: 1,
+                runs: 1,
+                meta: 1,
+                prev: None,
+                depth: 1,
+            }
+        }
+    }
+
+    /// A version-2 file: one series of one chunk, one run, one entry.
+    fn v2_file(c: Counts) -> Vec<u8> {
+        let values = [4.0];
+        let (_, payload) = codec::encode_chunk(&values);
+        let offset = SUPERBLOCK_LEN as u64;
+        let idx = index(|w| {
+            w.u64(c.series);
+            key_entry(w);
+            w.u32(c.chunks);
+            chunk_ref(w, &values, c.values, offset);
+            tables(w, c.runs, c.meta);
+        });
+        let sb = Superblock {
+            version: 2,
+            index_offset: offset + payload.len() as u64,
+            index_len: idx.len() as u64,
+        };
+        [&sb.encode()[..], &payload, &idx].concat()
+    }
+
+    /// A version-3 file of two generations: a full index holding one
+    /// chunk, then a delta appending one more plus a run and an entry.
+    fn v3_file(c: Counts) -> Vec<u8> {
+        let mut file = vec![0u8; SUPERBLOCK_LEN];
+        let first = [4.0, 5.0];
+        let chunk0 = file.len() as u64;
+        file.extend_from_slice(&codec::encode_chunk(&first).1);
+        let slots_offset = file.len() as u64;
+        file.extend_from_slice(&[0u8; 2 * SLOT_LEN]);
+        let full_offset = file.len() as u64;
+        let full = index(|w| {
+            w.u64(0);
+            w.u64(0);
+            w.u32(0);
+            w.u64(1);
+            key_entry(w);
+            w.u32(0);
+            w.u32(1);
+            chunk_ref(w, &first, 2, chunk0);
+            w.u64(0);
+            w.u64(0);
+        });
+        file.extend_from_slice(&full);
+        let second = [6.0];
+        let chunk1 = file.len() as u64;
+        file.extend_from_slice(&codec::encode_chunk(&second).1);
+        let delta_offset = file.len() as u64;
+        let (prev_offset, prev_len) = c.prev.unwrap_or((full_offset, full.len() as u64));
+        let delta = index(|w| {
+            w.u64(prev_offset);
+            w.u64(prev_len);
+            w.u32(c.depth);
+            w.u64(c.series);
+            key_entry(w);
+            w.u32(c.keep);
+            w.u32(c.chunks);
+            chunk_ref(w, &second, c.values, chunk1);
+            tables(w, c.runs, c.meta);
+        });
+        file.extend_from_slice(&delta);
+        let sb = Superblock {
+            version: 3,
+            index_offset: slots_offset,
+            index_len: 2 * SLOT_LEN as u64,
+        };
+        file[..SUPERBLOCK_LEN].copy_from_slice(&sb.encode());
+        for (i, (offset, len)) in [(full_offset, full.len()), (delta_offset, delta.len())]
+            .into_iter()
+            .enumerate()
+        {
+            let slot = Slot {
+                generation: i as u64 + 1,
+                record_offset: offset,
+                record_len: len as u64,
+            };
+            let at = slots_offset as usize + i * SLOT_LEN;
+            file[at..at + SLOT_LEN].copy_from_slice(&slot.encode());
+        }
+        file
+    }
+
+    /// Hostile counts behind valid CRCs fail typed, in both a
+    /// version-2 index and a version-3 delta, before anything is sized
+    /// by them.
+    #[test]
+    fn hostile_counts_with_valid_crcs_fail_typed() {
+        let path = temp_store("hostile");
+        let hostile_key = SeriesKey::new("hostile", 0, SampleMode::Mlpx, EventId::new(7));
+        let open = |bytes: Vec<u8>| {
+            fs::write(&path, bytes).unwrap();
+            Store::open(&path)
+        };
+        let v2 = open(v2_file(Counts::valid())).unwrap();
+        assert_eq!(*v2.read_series(&hostile_key).unwrap(), vec![4.0]);
+        let v3 = open(v3_file(Counts::valid())).unwrap();
+        assert_eq!(*v3.read_series(&hostile_key).unwrap(), vec![4.0, 5.0, 6.0]);
+        assert_eq!(v3.meta("k"), Some("v"));
+
+        let v = Counts::valid;
+        let both = [
+            Counts {
+                series: u64::MAX,
+                ..v()
+            },
+            Counts {
+                series: 1 << 40,
+                ..v()
+            },
+            Counts {
+                chunks: u32::MAX,
+                ..v()
+            },
+            Counts { chunks: 0, ..v() },
+            Counts {
+                values: u64::MAX,
+                ..v()
+            },
+            Counts {
+                values: 1 << 32,
+                ..v()
+            },
+            Counts {
+                runs: u64::MAX,
+                ..v()
+            },
+            Counts {
+                meta: u64::MAX,
+                ..v()
+            },
+            Counts { meta: 2, ..v() },
+        ];
+        let v3_only = [
+            Counts { keep: 2, ..v() },
+            Counts {
+                keep: u32::MAX,
+                ..v()
+            },
+            Counts {
+                depth: u32::MAX,
+                ..v()
+            },
+            Counts { depth: 2, ..v() },
+            Counts { depth: 0, ..v() },
+            Counts {
+                prev: Some((u64::MAX - 8, 64)),
+                ..v()
+            },
+            Counts {
+                prev: Some((u64::MAX, u64::MAX)),
+                ..v()
+            },
+            Counts {
+                prev: Some((SUPERBLOCK_LEN as u64, 0)),
+                ..v()
+            },
+            Counts {
+                prev: Some((0, 16)),
+                ..v()
+            },
+        ];
+        let typed = |what: &str, c: Counts, got: Result<Store, StoreError>| match got {
+            Err(StoreError::Corrupt { .. } | StoreError::Truncated { .. }) => {}
+            other => panic!("{what} {c:?}: expected Corrupt/Truncated, got {other:?}"),
+        };
+        for c in both {
+            typed("v2", c, open(v2_file(c)));
+            typed("v3", c, open(v3_file(c)));
+        }
+        for c in v3_only {
+            typed("v3", c, open(v3_file(c)));
+        }
+
+        // A slot naming bytes past the end of the file.
+        let mut file = v3_file(Counts::valid());
+        let slots_offset = u64::from_le_bytes(file[12..20].try_into().unwrap()) as usize;
+        let at = slots_offset + SLOT_LEN;
+        let far = Slot {
+            generation: 9,
+            record_offset: u64::MAX - 4,
+            record_len: 64,
+        };
+        file[at..at + SLOT_LEN].copy_from_slice(&far.encode());
+        assert!(matches!(open(file), Err(StoreError::Truncated { .. })));
         fs::remove_file(&path).unwrap();
     }
 }

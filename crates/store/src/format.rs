@@ -2,28 +2,36 @@
 //!
 //! The full byte-level specification lives in
 //! [`docs/STORAGE_FORMAT.md`](https://github.com/counterminer/counterminer/blob/main/docs/STORAGE_FORMAT.md);
-//! this module is its executable counterpart. In brief:
+//! this module is its executable counterpart. A version-3 file is a
+//! log:
 //!
 //! ```text
-//! +------------+---------+---------+-----+---------+---------+
-//! | superblock | chunk 0 | chunk 1 | ... | chunk N | index   |
-//! +------------+---------+---------+-----+---------+---------+
+//! +--------+--------+-----+--------+--------+--------+------------+--------+-----+--------------+-----
+//! | header | chunk0 | ... | chunkN | slot A | slot B | full index | chunks | ... | index delta  | ...
+//! +--------+--------+-----+--------+--------+--------+------------+--------+-----+--------------+-----
 //! ```
 //!
-//! * the fixed-size **superblock** carries the magic, the format
-//!   version, and the offset/length of the index, all guarded by a
-//!   CRC-32;
+//! * the fixed-size **header** ([`Superblock`]) carries the magic, the
+//!   format version and the position of the slot pair, all guarded by
+//!   a CRC-32. It is written once, when a compaction creates the file;
+//! * two fixed **superblock slots** ([`Slot`]) each name one committed
+//!   generation: its number and the offset and length of its newest
+//!   index record, guarded by a CRC-32. A reader takes the valid slot
+//!   with the higher generation;
 //! * **chunks** are opaque encoded payloads (see [`crate::codec`]),
 //!   written back to back with no per-chunk framing — their metadata
-//!   (key, encoding, offset, length, CRC) lives in the index;
-//! * the **index** is a sorted table of series entries plus the run
-//!   table (execution times) and the store's string metadata map,
-//!   terminated by its own CRC-32.
+//!   (key, encoding, offset, length, CRC) lives in the index records;
+//! * an **index record** holds series chain entries, run-table entries
+//!   and metadata entries, behind a back-pointer to the previous record
+//!   and terminated by its own CRC-32. The record a compaction writes
+//!   is a full index; each later commit appends its new chunks and a
+//!   delta record holding only what it changed.
 //!
-//! Every multi-byte integer is little endian. A writer builds the whole
-//! file under a temporary name and `rename(2)`s it into place, so a
-//! reader never observes a torn file; a leftover `.tmp` is deleted on
-//! open (partial-write recovery).
+//! Every multi-byte integer is little endian. Versions 1 and 2 have no
+//! slots: the header points straight at one full index, and every
+//! commit rewrote the file under a temporary name. Version 3 keeps that
+//! rewrite only for compaction; a leftover `.tmp` is deleted on open
+//! (partial-write recovery).
 
 use crate::codec::Encoding;
 use crate::StoreError;
@@ -34,28 +42,49 @@ pub(crate) const MAGIC: [u8; 4] = *b"CMCS";
 
 /// Current format version — what [`Store::commit`](crate::Store::commit)
 /// writes. Version 2 added per-series *chunk chains* (the streaming
-/// append path); version-1 files (single chunk per series) remain
-/// readable. See `docs/STORAGE_FORMAT.md` for the version history and
-/// compatibility rules.
-pub(crate) const VERSION: u32 = 2;
+/// append path); version 3 made the file a log of index records behind
+/// two superblock slots, so a commit appends only new bytes. Version-1
+/// and version-2 files remain readable. See `docs/STORAGE_FORMAT.md`
+/// for the version history and compatibility rules.
+pub(crate) const VERSION: u32 = 3;
 
 /// Format versions this reader understands.
-pub(crate) const SUPPORTED_VERSIONS: &[u32] = &[1, 2];
+pub(crate) const SUPPORTED_VERSIONS: &[u32] = &[1, 2, 3];
 
-/// Size of the fixed superblock in bytes.
+/// Size of the fixed superblock (the file header) in bytes.
 pub(crate) const SUPERBLOCK_LEN: usize = 32;
 
-/// Suffix of the temporary file used by the atomic-rename commit.
+/// Size of one superblock slot in bytes; a version-3 file has two,
+/// side by side.
+pub(crate) const SLOT_LEN: usize = 32;
+
+/// Bytes of one chunk reference in an index entry: encoding, value
+/// count, offset, length, CRC.
+pub(crate) const CHUNK_REF_LEN: usize = 1 + 8 + 8 + 8 + 4;
+
+/// Fewest bytes a series key takes in an index entry (empty program).
+pub(crate) const SERIES_KEY_MIN: usize = 2 + 4 + 1 + 8;
+
+/// Bytes of a run-table entry with an empty program name.
+pub(crate) const RUN_ENTRY_MIN: usize = 2 + 4 + 1 + 8;
+
+/// Bytes of a metadata entry with an empty key and value.
+pub(crate) const META_ENTRY_MIN: usize = 2 + 4;
+
+/// Suffix of the temporary file a compaction writes before renaming it
+/// over the store.
 pub(crate) const TMP_SUFFIX: &str = ".tmp";
 
-/// The decoded superblock.
+/// The decoded superblock (the file header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Superblock {
     /// Format version of the file.
     pub version: u32,
-    /// Byte offset of the index.
+    /// Byte offset of the index (versions 1–2) or of the slot pair
+    /// (version 3).
     pub index_offset: u64,
-    /// Length of the index in bytes (including its trailing CRC).
+    /// Length of the index in bytes, including its trailing CRC
+    /// (versions 1–2), or of the slot pair (version 3).
     pub index_len: u64,
 }
 
@@ -114,6 +143,46 @@ impl Superblock {
             index_offset: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")),
             index_len: u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")),
         })
+    }
+}
+
+/// One superblock slot: names the newest index record of one committed
+/// generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    /// Commit generation; higher is newer, and 0 never names a commit.
+    pub generation: u64,
+    /// Byte offset of the generation's newest index record.
+    pub record_offset: u64,
+    /// Length of that record in bytes, including its trailing CRC.
+    pub record_len: u64,
+}
+
+impl Slot {
+    /// Serializes the slot into its fixed 32-byte form.
+    pub fn encode(&self) -> [u8; SLOT_LEN] {
+        let mut out = [0u8; SLOT_LEN];
+        out[0..8].copy_from_slice(&self.generation.to_le_bytes());
+        out[8..16].copy_from_slice(&self.record_offset.to_le_bytes());
+        out[16..24].copy_from_slice(&self.record_len.to_le_bytes());
+        // 24..28: reserved, zero.
+        let crc = crate::codec::crc32(&out[0..28]);
+        out[28..32].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Parses a slot; `None` when its CRC disagrees (a torn or never
+    /// written slot) or it names generation 0.
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let bytes: &[u8; SLOT_LEN] = bytes.get(..SLOT_LEN)?.try_into().ok()?;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let stored_crc = u32::from_le_bytes(bytes[28..32].try_into().expect("4 bytes"));
+        let slot = Slot {
+            generation: word(0),
+            record_offset: word(8),
+            record_len: word(16),
+        };
+        (stored_crc == crate::codec::crc32(&bytes[0..28]) && slot.generation > 0).then_some(slot)
     }
 }
 
@@ -242,6 +311,31 @@ impl<'a> IndexReader<'a> {
 
     pub fn f64(&mut self, what: &str) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// Reads a `u64` entry count and bounds it by the bytes left: each
+    /// entry takes at least `min_entry` of them, so a count the index
+    /// cannot hold is corrupt before anything is sized by it.
+    pub fn count64(&mut self, what: &str, min_entry: usize) -> Result<usize, StoreError> {
+        let n = self.u64(what)?;
+        self.bounded(n, what, min_entry)
+    }
+
+    /// [`IndexReader::count64`] for a `u32` count.
+    pub fn count32(&mut self, what: &str, min_entry: usize) -> Result<usize, StoreError> {
+        let n = self.u32(what)?;
+        self.bounded(u64::from(n), what, min_entry)
+    }
+
+    fn bounded(&self, n: u64, what: &str, min_entry: usize) -> Result<usize, StoreError> {
+        let room = (self.buf.len() - self.pos) / min_entry.max(1);
+        if n > room as u64 {
+            return Err(StoreError::Corrupt {
+                file: self.file.to_string(),
+                what: format!("{what} {n} exceeds the {room} entries the index has room for"),
+            });
+        }
+        Ok(n as usize)
     }
 
     pub fn str16(&mut self, what: &str) -> Result<String, StoreError> {
@@ -386,6 +480,49 @@ mod tests {
         let bytes = w.finish();
         let mut r = IndexReader::new(&bytes, "t").unwrap();
         assert!(r.u64("too much").is_err());
+    }
+
+    #[test]
+    fn slot_round_trips_and_rejects_tears() {
+        let slot = Slot {
+            generation: 9,
+            record_offset: 4096,
+            record_len: 77,
+        };
+        let bytes = slot.encode();
+        assert_eq!(Slot::decode(&bytes), Some(slot));
+        // Never written, torn, generation 0, too short.
+        assert_eq!(Slot::decode(&[0u8; SLOT_LEN]), None);
+        let mut torn = bytes;
+        torn[10] ^= 1;
+        assert_eq!(Slot::decode(&torn), None);
+        let zero = Slot {
+            generation: 0,
+            ..slot
+        };
+        assert_eq!(Slot::decode(&zero.encode()), None);
+        assert_eq!(Slot::decode(&bytes[..SLOT_LEN - 1]), None);
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut w = IndexWriter::new();
+        w.u64(3);
+        w.u32(u32::MAX);
+        w.u64(0);
+        let bytes = w.finish();
+        let mut r = IndexReader::new(&bytes, "t").unwrap();
+        // 12 bytes remain after the first count: room for 3 four-byte
+        // entries but not for 3 five-byte ones.
+        assert_eq!(r.count64("a", 4).unwrap(), 3);
+        let mut r = IndexReader::new(&bytes, "t").unwrap();
+        assert!(matches!(r.count64("a", 5), Err(StoreError::Corrupt { .. })));
+        let mut r = IndexReader::new(&bytes, "t").unwrap();
+        r.u64("skip").unwrap();
+        assert!(matches!(
+            r.count32("b", CHUNK_REF_LEN),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]

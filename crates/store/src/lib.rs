@@ -18,11 +18,13 @@
 //! * each series is a column chunk — delta+varint encoded when
 //!   integral, raw `f64` bits otherwise — keyed by run and event.
 //!
-//! The file has a versioned superblock, CRC-32 checksums on every
-//! region, an append-only writer committed by atomic rename, and a
-//! sharded LRU block cache ([`CacheConfig`], `CM_STORE_CACHE`). This is
-//! what lets the pipeline collect once and analyze many times — see
-//! `docs/STORAGE_FORMAT.md` for the byte-level layout.
+//! The file has a versioned header, two superblock slots, CRC-32
+//! checksums on every region, an append-only writer whose commits add
+//! only new chunks and an index delta (compaction rewrites the file and
+//! renames it into place), and a sharded LRU block cache
+//! ([`CacheConfig`], `CM_STORE_CACHE`). This is what lets the pipeline
+//! collect once and analyze many times — see `docs/STORAGE_FORMAT.md`
+//! for the byte-level layout.
 //!
 //! Series lengths are allowed to differ between events and runs — the
 //! property that motivates the paper's use of dynamic time warping.
@@ -70,7 +72,7 @@
 //! let mut store = Store::open(&path)?;
 //! let key = SeriesKey::new("wordcount", 0, SampleMode::Mlpx, EventId::new(3));
 //! store.append_series(key.clone(), &[880.0, 912.0, 905.0])?;
-//! store.commit()?; // atomic: write temp file, fsync, rename
+//! store.commit()?; // durable: append chunks + index, fsync, flip a slot, fsync
 //!
 //! assert_eq!(*store.read_series(&key)?, vec![880.0, 912.0, 905.0]);
 //! # std::fs::remove_file(&path)?;
@@ -90,7 +92,9 @@ mod vfs;
 
 pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use codec::Encoding;
-pub use columnar::{RunId, SeriesKey, Store, StoreInfo, MAX_CHUNK_CHAIN};
+pub use columnar::{
+    RunId, SeriesKey, Store, StoreInfo, MAX_CHUNK_CHAIN, MAX_DEAD_PER_LIVE, MAX_DELTA_CHAIN,
+};
 pub use error::StoreError;
 pub use query::{ExecTimeStats, ProgramSummary};
 pub use vfs::{RealFs, Vfs, VfsFile};

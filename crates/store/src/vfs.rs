@@ -21,8 +21,10 @@ use std::path::Path;
 /// An open file handle obtained through a [`Vfs`].
 ///
 /// Reads are positioned (no shared cursor — the store's committed file
-/// is read concurrently); writes are sequential appends used only while
-/// building a new store file under its temporary name.
+/// is read concurrently). Writes come in two shapes: sequential appends
+/// while a compaction builds a new store file under its temporary name,
+/// and positioned writes that append a commit's bytes to the live file
+/// and flip one of its superblock slots.
 #[allow(clippy::len_without_is_empty)]
 pub trait VfsFile: Debug + Send + Sync {
     /// Current length of the file in bytes.
@@ -48,6 +50,14 @@ pub trait VfsFile: Debug + Send + Sync {
     /// Any underlying I/O failure (out of space, permissions, …).
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
 
+    /// Writes all of `buf` at the absolute byte `offset`, extending the
+    /// file if the range ends past its current length.
+    ///
+    /// # Errors
+    ///
+    /// Any underlying I/O failure; a prefix of `buf` may have landed.
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()>;
+
     /// Flushes data and metadata to durable storage.
     ///
     /// # Errors
@@ -67,6 +77,14 @@ pub trait Vfs: Debug + Send + Sync {
     ///
     /// [`io::ErrorKind::NotFound`] or any underlying I/O failure.
     fn open(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
+
+    /// Opens an existing file for reading and writing, without
+    /// truncating it.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::NotFound`] or any underlying I/O failure.
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
 
     /// Creates (truncating) a file for writing.
     ///
@@ -134,6 +152,19 @@ impl VfsFile for RealFile {
         self.0.write_all(buf)
     }
 
+    #[cfg(unix)]
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        self.0.write_all_at(buf, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn write_all_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        use std::io::{Seek, SeekFrom, Write};
+        self.0.seek(SeekFrom::Start(offset))?;
+        self.0.write_all(buf)
+    }
+
     fn sync_all(&mut self) -> io::Result<()> {
         self.0.sync_all()
     }
@@ -142,6 +173,11 @@ impl VfsFile for RealFile {
 impl Vfs for RealFs {
     fn open(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         Ok(Box::new(RealFile(File::open(path)?)))
+    }
+
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        let file = fs::OpenOptions::new().read(true).write(true).open(path)?;
+        Ok(Box::new(RealFile(file)))
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
@@ -192,6 +228,22 @@ mod tests {
         let mut big = [0u8; 32];
         let err = f.read_exact_at(&mut big, 6).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn real_fs_writes_in_place() {
+        let path = temp_file("in_place");
+        let fs_ = RealFs;
+        fs_.create(&path)
+            .unwrap()
+            .write_all(b"hello world")
+            .unwrap();
+        let mut f = fs_.open_rw(&path).unwrap();
+        f.write_all_at(b"W", 6).unwrap();
+        f.write_all_at(b"!!", 11).unwrap();
+        f.sync_all().unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"hello World!!");
+        assert!(fs_.open_rw(&path.with_extension("missing")).is_err());
     }
 
     #[test]

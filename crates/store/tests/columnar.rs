@@ -3,7 +3,7 @@
 //! and the block cache must behave deterministically.
 
 use cm_events::{EventId, SampleMode};
-use cm_store::{CacheConfig, SeriesKey, Store, StoreError};
+use cm_store::{CacheConfig, SeriesKey, Store, StoreError, MAX_CHUNK_CHAIN};
 use std::fs;
 use std::path::PathBuf;
 
@@ -122,7 +122,7 @@ fn wrong_version_is_typed() {
             found, supported, ..
         }) => {
             assert_eq!(found, 7);
-            assert_eq!(supported, 2);
+            assert_eq!(supported, 3);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
@@ -234,4 +234,48 @@ fn zero_capacity_cache_is_inert() {
     assert_eq!(stats.hits, 0);
     assert_eq!(stats.misses, 0);
     assert_eq!(stats.evictions, 0);
+}
+
+#[test]
+fn block_cache_survives_append_commits() {
+    let path = committed_store("cache_append");
+    let mut store = Store::open(&path).unwrap();
+    let b = store.read_series(&key(2)).unwrap();
+    let before = store.cache_stats();
+
+    // An append commit leaves committed chunks where they are, so the
+    // decoded chunk of the untouched series stays cached.
+    store.extend_series(key(1), &[102.0]).unwrap();
+    store.commit().unwrap();
+    assert_eq!(store.read_series(&key(2)).unwrap(), b);
+    let after = store.cache_stats();
+    assert_eq!(after.hits, before.hits + 1);
+    assert_eq!(after.misses, before.misses);
+    assert_eq!(
+        *store.read_series(&key(1)).unwrap(),
+        vec![100.0, 104.0, 99.0, 101.0, 102.0]
+    );
+}
+
+#[test]
+fn re_encoded_chains_leave_the_block_cache() {
+    let path = temp_store("cache_chain");
+    let mut store = Store::open(&path).unwrap();
+    let mut want = Vec::new();
+    for i in 0..MAX_CHUNK_CHAIN {
+        want.push(i as f64);
+        store.extend_series(key(1), &[i as f64]).unwrap();
+        store.commit().unwrap();
+        assert_eq!(*store.read_series(&key(1)).unwrap(), want);
+    }
+    assert_eq!(store.cache_stats().entries, MAX_CHUNK_CHAIN);
+
+    // The next commit re-encodes the full chain as one chunk; the old
+    // chunks are dead, so their decodes leave the cache.
+    want.push(-1.0);
+    store.extend_series(key(1), &[-1.0]).unwrap();
+    store.commit().unwrap();
+    assert_eq!(store.cache_stats().entries, 0);
+    assert_eq!(*store.read_series(&key(1)).unwrap(), want);
+    assert_eq!(store.cache_stats().entries, 1);
 }
