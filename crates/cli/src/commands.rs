@@ -874,7 +874,9 @@ pub fn serve(args: &Args) -> CmdResult {
 /// store, subscribes to the benchmark's ranking, then streams the
 /// benchmark's rows in through `StreamAppend` requests. The client is
 /// notified only when the answer *materially* changes — the top-K order
-/// shifts or the MAPM moves — so most appends print nothing.
+/// shifts or the MAPM moves — so most appends print nothing. Retrains
+/// run behind the appends, so the last notifications are printed after
+/// the last append, once every retrain has finished.
 pub fn watch(args: &Args) -> CmdResult {
     let benchmark = benchmark_by_name(required_positional(args, 1, "benchmark name")?)?;
     let path = args
@@ -900,21 +902,7 @@ pub fn watch(args: &Args) -> CmdResult {
         let mut sub = client.subscribe("main", benchmark, top_k)?;
         let mut appends = 0usize;
         let mut notified = 0usize;
-        loop {
-            let response = client
-                .submit(Request::StreamAppend {
-                    store: "main".into(),
-                    benchmark,
-                    rows: chunk,
-                })
-                .wait()?;
-            let report = match response {
-                Response::Appended(report) => report,
-                other => return Err(format!("unexpected response: {other:?}").into()),
-            };
-            if report.appended_rows > 0 {
-                appends += 1;
-            }
+        let mut print_new = || -> CmdResult {
             for note in sub.poll()? {
                 notified += 1;
                 let events: Vec<&str> = note
@@ -933,10 +921,33 @@ pub fn watch(args: &Args) -> CmdResult {
                     note.summary.best_error * 100.0
                 );
             }
+            Ok(())
+        };
+        loop {
+            let response = client
+                .submit(Request::StreamAppend {
+                    store: "main".into(),
+                    benchmark,
+                    rows: chunk,
+                })
+                .wait()?;
+            let report = match response {
+                Response::Appended(report) => report,
+                other => return Err(format!("unexpected response: {other:?}").into()),
+            };
+            if report.appended_rows > 0 {
+                appends += 1;
+            }
+            print_new()?;
             if report.exhausted {
                 break;
             }
         }
+        // Retrains run behind the appends: let the last ones notify.
+        while handle.stats().retrains_pending > 0 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        print_new()?;
         println!(
             "{benchmark}: {appends} append(s) of up to {chunk} row(s), {notified} \
              notification(s) — silent appends left the ranking unchanged"

@@ -158,6 +158,9 @@ fn stats_delta(after: ServeStats, before: ServeStats) -> ServeStats {
         batch_flushes: after.batch_flushes - before.batch_flushes,
         batch_coalesced: after.batch_coalesced - before.batch_coalesced,
         dedup_hits: after.dedup_hits - before.dedup_hits,
+        retrains: after.retrains - before.retrains,
+        retrain_errors: after.retrain_errors - before.retrain_errors,
+        retrains_pending: after.retrains_pending,
     }
 }
 

@@ -57,6 +57,25 @@
 //! With batching off, every request is a group of one on the same path
 //! and nothing is shared.
 //!
+//! # Streams and subscriptions
+//!
+//! A [`Request::StreamAppend`] answers once its rows commit. When a
+//! subscriber of the stream has not yet been checked against the sealed
+//! rows — the append sealed a block, or the subscriber is new — the
+//! append hands a snapshot of the sealed prefix to the server's one
+//! trainer thread. The trainer retrains EIR on each prefix in the order
+//! appends queued them, so a stream's notifications follow in seal
+//! order, then queues a [`Notification`] for every subscriber whose
+//! watched summary materially changed; [`Request::Poll`] drains them.
+//! A retrain never holds a stream or store lock, so appends, polls and
+//! reads never wait for one. A failed or panicking retrain notifies no
+//! one and counts in `serve.retrain.errors`. `serve.retrains` counts
+//! finished retrains and `serve.retrain.lag_ns` sums the time from each
+//! sealing commit until its subscribers were checked;
+//! [`ServeStats::retrains_pending`] reads zero once every sealing append
+//! so far has been checked. Shutdown discards queued retrains, so these
+//! counts depend on when it comes.
+//!
 //! A query's result never depends on its neighbours: if the group's
 //! batched read fails (say, one names a series the store lacks), each
 //! query is answered from its own read, exactly as unbatched.

@@ -76,7 +76,10 @@ pub enum Request {
     /// [`StreamSession`](cm_stream::StreamSession) on first touch).
     /// Appends to one `(store, benchmark)` stream serialize; the commit
     /// is atomic, so a failed append leaves the previous committed
-    /// snapshot intact and answers with a typed error.
+    /// snapshot intact and answers with a typed error. The append
+    /// answers at commit: the retrain its subscribers need runs
+    /// afterwards on the server's trainer thread, and their
+    /// notifications follow in seal order.
     StreamAppend {
         /// Registered store name.
         store: String,
@@ -98,7 +101,9 @@ pub enum Request {
     },
     /// Drain a subscription's queued notifications with sequence
     /// numbers greater than `after`. Never blocks server-side: an empty
-    /// answer means "nothing new yet".
+    /// answer means "nothing new yet" — a retrain may still be running
+    /// for an append that already answered (see
+    /// [`ServeStats::retrains_pending`](crate::ServeStats::retrains_pending)).
     Poll {
         /// The subscription to drain.
         id: SubscriptionId,

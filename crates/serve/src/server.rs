@@ -7,14 +7,16 @@ use crate::proto::{
 use cm_obs::{span_enter_detached, span_enter_under, SpanGuard, SpanHandle};
 use cm_sim::Benchmark;
 use cm_store::{BlockCache, CacheConfig, CacheStats, SeriesKey, Store, StoreError, Vfs};
-use cm_stream::{RankSummary, StreamConfig, StreamError, StreamSession};
+use cm_stream::{RankSummary, SealedPrefix, StreamConfig, StreamError, StreamSession};
 use counterminer::{ClusterReport, CmError, CounterMiner, MinerConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,6 +85,7 @@ struct StatsInner {
     batch_flushes: AtomicU64,
     batch_coalesced: AtomicU64,
     dedup_hits: AtomicU64,
+    retrain_errors: AtomicU64,
 }
 
 /// A point-in-time copy of the server's request counters (see
@@ -104,6 +107,13 @@ pub struct ServeStats {
     /// requests answered from a finished computation at the store's
     /// current generation.
     pub dedup_hits: u64,
+    /// Stream retrains the trainer finished, failed ones included.
+    pub retrains: u64,
+    /// Retrains that failed or panicked; they notify no one.
+    pub retrain_errors: u64,
+    /// Retrains queued or running: once this reads zero, every sealing
+    /// append so far has had its subscribers checked.
+    pub retrains_pending: u64,
 }
 
 /// One subscriber's change-detection state: comparisons run against the
@@ -117,6 +127,9 @@ struct Subscription {
     last: Option<RankSummary>,
     queue: Vec<Notification>,
     next_seq: u64,
+    /// Sealed rows of the newest retrain queued to check this
+    /// subscription; an append queues one while it is behind.
+    queued_rows: usize,
 }
 
 /// The subscription table; ids are never reused.
@@ -142,6 +155,8 @@ struct Shared {
     subs: Mutex<SubRegistry>,
     /// Analyses and clusterings shared across batches.
     flights: Mutex<FlightTable>,
+    /// Sealed prefixes waiting for the trainer thread.
+    retrains: RetrainQueue,
 }
 
 impl Shared {
@@ -346,6 +361,7 @@ impl Server {
             streams: Mutex::new(HashMap::new()),
             subs: Mutex::new(SubRegistry::default()),
             flights: Mutex::new(FlightTable::default()),
+            retrains: RetrainQueue::default(),
         });
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
@@ -368,20 +384,35 @@ impl Server {
                 .spawn(move || sched.run(rx))
                 .expect("spawn scheduler thread")
         };
+        let trainer = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("cm-serve-trainer".to_string())
+                .spawn(move || {
+                    while let Some(retrain) = shared.retrains.next() {
+                        run_retrain(&shared, retrain);
+                        shared.retrains.finish();
+                    }
+                })
+                .expect("spawn trainer thread")
+        };
         ServerHandle {
             tx,
             scheduler: Some(scheduler),
+            trainer: Some(trainer),
             shared,
         }
     }
 }
 
 /// A running server. Dropping the handle shuts the server down (any
-/// still-queued requests answer [`ServeError::Closed`]).
+/// still-queued requests answer [`ServeError::Closed`], and queued
+/// retrains are discarded).
 #[derive(Debug)]
 pub struct ServerHandle {
     tx: Sender<Envelope>,
     scheduler: Option<JoinHandle<()>>,
+    trainer: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
@@ -397,12 +428,16 @@ impl ServerHandle {
     /// A snapshot of the request counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared.stats;
+        let (retrains, retrains_pending) = self.shared.retrains.counts();
         ServeStats {
             requests: s.requests.load(Ordering::Relaxed),
             errors: s.errors.load(Ordering::Relaxed),
             batch_flushes: s.batch_flushes.load(Ordering::Relaxed),
             batch_coalesced: s.batch_coalesced.load(Ordering::Relaxed),
             dedup_hits: s.dedup_hits.load(Ordering::Relaxed),
+            retrains,
+            retrain_errors: s.retrain_errors.load(Ordering::Relaxed),
+            retrains_pending,
         }
     }
 
@@ -413,10 +448,11 @@ impl ServerHandle {
 
     /// Publishes the flight table's size (`serve.flight.in_flight`
     /// running analyses and clusterings, `serve.flight.entries` running
-    /// and finished ones) and the shared cache's per-shard occupancy and
-    /// activity as `serve.cache.shard.*` gauges — the load harness's
-    /// stats sampler calls this periodically. Free when observability
-    /// is off.
+    /// and finished ones), the retrains waiting for the trainer
+    /// (`serve.retrain.queue_depth`) and the shared cache's per-shard
+    /// occupancy and activity as `serve.cache.shard.*` gauges — the load
+    /// harness's stats sampler calls this periodically. Free when
+    /// observability is off.
     pub fn publish_gauges(&self) {
         if !cm_obs::enabled() {
             return;
@@ -424,6 +460,10 @@ impl ServerHandle {
         let (in_flight, entries) = lock(&self.shared.flights).sizes();
         cm_obs::gauge_set("serve.flight.in_flight", in_flight as f64);
         cm_obs::gauge_set("serve.flight.entries", entries as f64);
+        cm_obs::gauge_set(
+            "serve.retrain.queue_depth",
+            lock(&self.shared.retrains.state).queued.len() as f64,
+        );
         for (i, shard) in self.shared.cache.shard_stats().iter().enumerate() {
             cm_obs::gauge_set(
                 &format!("serve.cache.shard.{i}.entries"),
@@ -443,7 +483,9 @@ impl ServerHandle {
     }
 
     /// Stops accepting requests, finishes the in-flight batch, joins
-    /// the scheduler and workers, and returns the final counters.
+    /// the scheduler and workers, discards queued retrains, joins the
+    /// trainer once its running retrain ends, and returns the final
+    /// counters.
     pub fn shutdown(mut self) -> ServeStats {
         self.stop();
         self.stats()
@@ -452,6 +494,11 @@ impl ServerHandle {
     fn stop(&mut self) {
         if let Some(handle) = self.scheduler.take() {
             let _ = self.tx.send(Envelope::Shutdown);
+            let _ = handle.join();
+        }
+        // The workers are joined, so nothing queues a retrain after this.
+        if let Some(handle) = self.trainer.take() {
+            self.shared.retrains.close();
             let _ = handle.join();
         }
     }
@@ -1154,6 +1201,7 @@ fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
                     last: None,
                     queue: Vec::new(),
                     next_seq: 0,
+                    queued_rows: 0,
                 },
             );
             cm_obs::counter_add("serve.subscriptions", 1);
@@ -1173,15 +1221,19 @@ fn exec_single(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
 }
 
 /// Appends to the server-side stream session for `(store, benchmark)`,
-/// opening (or resuming) it on first touch, then notifies any
-/// subscribers whose watched summary materially changed.
+/// opening (or resuming) it on first touch, and answers once the append
+/// commits. If a subscriber of the stream has not been checked against
+/// its sealed rows yet — the append sealed a block, or the subscriber
+/// is new — the sealed prefix goes to the trainer, which notifies the
+/// stream's subscribers whose watched summary materially changed.
 ///
-/// The streams mutex serializes appends per server; the store's write
-/// lock covers staging and the atomic commit. The session leaves the
-/// streams table while it appends, so one that fails — or panics, which
-/// also gets the store reloaded on its next access — is dropped, and the
-/// next append reopens from the last committed snapshot: the client sees
-/// a typed error, never a torn stream.
+/// The streams mutex serializes appends per server, so retrains queue
+/// in seal order; the store's write lock covers staging and the atomic
+/// commit. The session leaves the streams table while it appends, so one
+/// that fails — or panics, which also gets the store reloaded on its
+/// next access — is dropped, and the next append reopens from the last
+/// committed snapshot: the client sees a typed error, never a torn
+/// stream.
 fn exec_stream_append(
     shared: &Shared,
     store_name: &str,
@@ -1192,7 +1244,7 @@ fn exec_stream_append(
     let mut streams = lock(&shared.streams);
     let key = (store_name.to_string(), benchmark);
 
-    let report = {
+    let (session, report) = {
         let mut guard = write_store(handle)?;
         let mut session = match streams.remove(&key) {
             Some(session) => session,
@@ -1200,24 +1252,137 @@ fn exec_stream_append(
                 .map_err(stream_err)?,
         };
         let report = session.append(&mut guard, rows).map_err(stream_err)?;
-        streams.insert(key.clone(), session);
-        report
+        (session, report)
     };
+    let committed = Instant::now();
 
-    // Only pay for an analysis when someone is watching this stream
-    // (and even then, an append that sealed nothing warm-starts).
-    let session = streams.get_mut(&key).expect("session exists");
-    let mut registry = lock(&shared.subs);
-    let watching = registry
-        .subs
-        .values()
-        .any(|s| s.store == key.0 && s.benchmark == benchmark);
-    if watching {
-        if let Some(analysis) = session.analysis().map_err(stream_err)? {
+    let mut behind = false;
+    for sub in lock(&shared.subs).subs.values_mut() {
+        let watches = sub.store == key.0 && sub.benchmark == benchmark;
+        if watches && sub.queued_rows < report.sealed_rows {
+            sub.queued_rows = report.sealed_rows;
+            behind = true;
+        }
+    }
+    // A subscriber is only ever behind a positive sealed row count, so
+    // the prefix exists whenever one is.
+    if behind {
+        if let Some(prefix) = session.sealed_prefix() {
+            let retrain = Retrain {
+                store: key.0.clone(),
+                prefix,
+                committed,
+            };
+            shared.retrains.push(retrain);
+        }
+    }
+    streams.insert(key, session);
+    Ok(Response::Appended(report))
+}
+
+/// One sealed prefix of a watched stream, waiting for the trainer.
+#[derive(Debug)]
+struct Retrain {
+    store: String,
+    prefix: SealedPrefix,
+    /// When the append that queued it committed.
+    committed: Instant,
+}
+
+/// The trainer's FIFO. One thread drains it, so retrains run one at a
+/// time in the order appends queued them: per stream, in seal order.
+#[derive(Debug, Default)]
+struct RetrainQueue {
+    state: Mutex<RetrainState>,
+    wake: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct RetrainState {
+    queued: VecDeque<Retrain>,
+    /// Whether the trainer holds a retrain it has not finished.
+    running: bool,
+    /// Retrains finished. It moves under the lock after a retrain's
+    /// notifications are queued, so a reader that sees it move also
+    /// sees them.
+    finished: u64,
+    closed: bool,
+}
+
+impl RetrainQueue {
+    fn push(&self, retrain: Retrain) {
+        lock(&self.state).queued.push_back(retrain);
+        self.wake.notify_one();
+    }
+
+    /// The next retrain, waiting for one; `None` once closed. The
+    /// trainer calls [`RetrainQueue::finish`] when it is done with it.
+    fn next(&self) -> Option<Retrain> {
+        let mut state = lock(&self.state);
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(retrain) = state.queued.pop_front() {
+                state.running = true;
+                return Some(retrain);
+            }
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn finish(&self) {
+        let mut state = lock(&self.state);
+        state.running = false;
+        state.finished += 1;
+    }
+
+    /// `(finished, queued or running)` retrains.
+    fn counts(&self) -> (u64, u64) {
+        let state = lock(&self.state);
+        let pending = state.queued.len() + usize::from(state.running);
+        (state.finished, pending as u64)
+    }
+
+    /// Discards every queued retrain and stops the trainer once its
+    /// running one (if any) ends.
+    fn close(&self) {
+        let mut state = lock(&self.state);
+        state.closed = true;
+        state.queued.clear();
+        self.wake.notify_all();
+    }
+}
+
+/// Analyzes one sealed prefix on the trainer thread, then queues a
+/// notification for each subscriber of its stream whose watched summary
+/// materially changed. A failed or panicking analysis counts in
+/// `serve.retrain.errors` and leaves every subscription as it was.
+/// `serve.retrain.lag_ns` sums the time from each sealing append's
+/// commit until its subscribers are checked.
+fn run_retrain(shared: &Shared, retrain: Retrain) {
+    let Retrain {
+        store,
+        prefix,
+        committed,
+    } = retrain;
+    let benchmark = prefix.benchmark();
+    let analysis = {
+        let _root = span_enter_detached("serve.retrain".to_string());
+        flatten_panic(catch_unwind(AssertUnwindSafe(|| {
+            prefix.analyze().map_err(stream_err)
+        })))
+    };
+    match analysis {
+        Ok(analysis) => {
+            let mut registry = lock(&shared.subs);
             for sub in registry
                 .subs
                 .values_mut()
-                .filter(|s| s.store == key.0 && s.benchmark == benchmark)
+                .filter(|s| s.store == store && s.benchmark == benchmark)
             {
                 let summary = analysis.summary(sub.top_k);
                 let reason = match &sub.last {
@@ -1239,8 +1404,13 @@ fn exec_stream_append(
                 }
             }
         }
+        Err(_) => count(&shared.stats.retrain_errors, "serve.retrain.errors", 1),
     }
-    Ok(Response::Appended(report))
+    cm_obs::counter_add(
+        "serve.retrain.lag_ns",
+        u64::try_from(committed.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    );
+    cm_obs::counter_add("serve.retrains", 1);
 }
 
 /// The analysis hot path: `warm` computes from the committed snapshot
@@ -1516,16 +1686,22 @@ mod tests {
         )
         .expect("mirror session");
 
+        // Retrains run on the trainer thread after the append answers:
+        // wait for the `n`-th to finish before polling.
+        let retrained = |n: u64| wait_until("the retrains", || handle.stats().retrains == n);
+
         // Nothing sealed yet: no analysis exists, so no notification.
         let report = stream_append(&client, 40);
         assert_eq!(report.sealed_rows, 0);
         mirror.append(&mut mirror_store, 40).expect("mirror");
+        retrained(0);
         assert!(sub.poll().expect("poll").is_empty());
 
         // First sealed block: the first analysis always notifies.
         let report = stream_append(&client, 30);
         assert_eq!(report.sealed_rows, 64);
         mirror.append(&mut mirror_store, 30).expect("mirror");
+        retrained(1);
         let first = sub.wait_next(Duration::from_secs(30)).expect("wait");
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].reason, NotifyReason::Initial);
@@ -1541,11 +1717,12 @@ mod tests {
         let report = stream_append(&client, 10);
         assert_eq!(report.sealed_rows, 64);
         mirror.append(&mut mirror_store, 10).expect("mirror");
+        retrained(1);
         assert!(sub.poll().expect("poll").is_empty());
 
         // Seal several more blocks; the mirror predicts whether each
         // step's summary materially differs from the last notified one.
-        for rows in [100, 150] {
+        for (rows, retrains) in [(100, 2), (150, 3)] {
             let server_report = stream_append(&client, rows);
             mirror.append(&mut mirror_store, rows).expect("mirror");
             assert_eq!(server_report.total_rows, mirror.total_rows());
@@ -1554,6 +1731,7 @@ mod tests {
                 .expect("mirror analysis")
                 .expect("sealed")
                 .summary(3);
+            retrained(retrains);
             let notes = sub.poll().expect("poll");
             if summary.materially_differs(&last_notified) {
                 assert_eq!(notes.len(), 1, "material change must notify");
@@ -1580,6 +1758,177 @@ mod tests {
             ServeError::UnknownSubscription(crate::proto::SubscriptionId(9999))
         );
 
+        handle.shutdown();
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(mirror_path);
+    }
+
+    /// What a subscriber of a stream fed in `chunks` (cycled until
+    /// `total` rows) must receive: a synchronous mirror session analyzes
+    /// after each sealing append, and each summary that materially
+    /// changed becomes the next notification. `summaries` memoizes the
+    /// mirror's analyses by sealed row count, which determines them.
+    fn mirrored_notifications(
+        tag: &str,
+        chunks: &[usize],
+        total: usize,
+        summaries: &mut HashMap<usize, RankSummary>,
+    ) -> (Vec<usize>, Vec<Notification>) {
+        let path = temp_store_path(tag);
+        let _ = std::fs::remove_file(&path);
+        let mut store = Store::open(&path).expect("mirror store");
+        let mut mirror = cm_stream::StreamSession::open(
+            &mut store,
+            Benchmark::Sort,
+            cm_stream::StreamConfig::from_env(tiny_config()),
+        )
+        .expect("mirror session");
+        let (mut appends, mut notes) = (Vec::new(), Vec::new());
+        let mut last: Option<RankSummary> = None;
+        for &chunk in chunks.iter().cycle() {
+            let rows = chunk.min(total - mirror.total_rows());
+            if rows == 0 {
+                break;
+            }
+            let sealed_before = mirror.sealed_rows();
+            let report = mirror.append(&mut store, rows).expect("mirror append");
+            appends.push(rows);
+            if report.sealed_rows == sealed_before {
+                continue;
+            }
+            let summary = summaries
+                .entry(report.sealed_rows)
+                .or_insert_with(|| {
+                    mirror
+                        .analysis()
+                        .expect("mirror analysis")
+                        .expect("sealed")
+                        .summary(3)
+                })
+                .clone();
+            let reason = match &last {
+                None => NotifyReason::Initial,
+                Some(prev) if summary.order_changed(prev) => NotifyReason::TopKChanged,
+                Some(prev) if summary.mapm_changed(prev) => NotifyReason::MapmChanged,
+                Some(_) => continue,
+            };
+            notes.push(Notification {
+                seq: notes.len() as u64 + 1,
+                reason,
+                sealed_rows: report.sealed_rows,
+                summary: summary.clone(),
+            });
+            last = Some(summary);
+        }
+        let _ = std::fs::remove_file(path);
+        (appends, notes)
+    }
+
+    #[test]
+    fn notifications_match_a_synchronous_mirror_under_any_chunking() {
+        let total = 330; // five sealed blocks of 64 and a partial tail
+        let mut summaries = HashMap::new();
+        let chunkings: [&[usize]; 5] = [&[1], &[7], &[64], &[100], &[3, 90, 17, 64, 1, 120]];
+        for (i, chunks) in chunkings.into_iter().enumerate() {
+            let tag = format!("chunking{i}");
+            let (appends, want) =
+                mirrored_notifications(&format!("{tag}_mirror"), chunks, total, &mut summaries);
+            assert!(!want.is_empty());
+            let (handle, path) = tiny_server(&tag);
+            let client = handle.client();
+            let mut sub = client
+                .subscribe("main", Benchmark::Sort, 3)
+                .expect("subscribe");
+            for rows in appends {
+                assert_eq!(stream_append(&client, rows).appended_rows, rows);
+            }
+            wait_until("the retrains", || handle.stats().retrains_pending == 0);
+            assert_eq!(sub.poll().expect("poll"), want, "chunks {chunks:?}");
+            let stats = handle.shutdown();
+            assert_eq!(stats.retrain_errors, 0);
+            assert_eq!(stats.errors, 0);
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn a_late_subscriber_is_checked_on_the_next_append_and_only_then() {
+        let (handle, path) = tiny_server("late_subscriber");
+        let client = handle.client();
+        assert_eq!(stream_append(&client, 70).sealed_rows, 64);
+        let mut sub = client
+            .subscribe("main", Benchmark::Sort, 3)
+            .expect("subscribe");
+
+        // Nothing sealed since, yet the new subscriber is behind: the
+        // append queues the sealed prefix for it.
+        stream_append(&client, 1);
+        wait_until("the retrain", || handle.stats().retrains == 1);
+        let first = sub.poll().expect("poll");
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].reason, NotifyReason::Initial);
+        assert_eq!(first[0].sealed_rows, 64);
+
+        // Checked now: an append that seals nothing queues nothing (an
+        // append queues its retrain before it answers).
+        stream_append(&client, 1);
+        assert_eq!(handle.stats().retrains_pending, 0);
+        handle.shutdown();
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_failed_retrain_leaves_the_committed_append_answered_and_no_one_notified() {
+        // A zero prune step passes every check up to the retrain, which
+        // rejects it.
+        let mut miner = tiny_config();
+        miner.importance.prune_step = 0;
+        let path = temp_store_path("retrain_error");
+        let _ = std::fs::remove_file(&path);
+        let mut server = Server::new(ServeConfig {
+            miner,
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        server.add_store("main", &path).expect("register store");
+        let handle = server.start();
+        let client = handle.client();
+        let mut sub = client
+            .subscribe("main", Benchmark::Sort, 3)
+            .expect("subscribe");
+
+        assert_eq!(stream_append(&client, 70).sealed_rows, 64);
+        wait_until("the retrain", || handle.stats().retrains == 1);
+        let stats = handle.stats();
+        assert_eq!((stats.retrain_errors, stats.errors), (1, 0));
+        assert!(sub.poll().expect("poll").is_empty());
+        {
+            let registry = lock(&handle.shared.subs);
+            let state = &registry.subs[&sub.id()];
+            assert!(state.last.is_none());
+            assert_eq!(state.next_seq, 0);
+        }
+
+        // The append is durable: the store holds what a mirror's holds.
+        let mirror_path = temp_store_path("retrain_error_mirror");
+        let _ = std::fs::remove_file(&mirror_path);
+        let mut mirror_store = Store::open(&mirror_path).expect("mirror store");
+        cm_stream::StreamSession::open(
+            &mut mirror_store,
+            Benchmark::Sort,
+            cm_stream::StreamConfig::from_env(miner),
+        )
+        .expect("mirror session")
+        .append(&mut mirror_store, 70)
+        .expect("mirror append");
+        match client.call(Request::Info {
+            store: "main".into(),
+        }) {
+            Ok(Response::Info(info)) => {
+                assert_eq!(info.total_values, mirror_store.info().total_values);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
         handle.shutdown();
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(mirror_path);

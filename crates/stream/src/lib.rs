@@ -33,6 +33,11 @@
 //! make results depend on the append history and break the oracle
 //! guarantee (see DESIGN §15).
 //!
+//! The retrain is [`StreamSession::sealed_prefix`], an owned
+//! [`SealedPrefix`] that later appends never touch, then
+//! [`SealedPrefix::analyze`], which may run on any thread: `cm-serve`
+//! retrains that way beside a live stream.
+//!
 //! # Example: append, analyze, warm-start
 //!
 //! ```
@@ -84,5 +89,7 @@ mod session;
 mod summary;
 
 pub use error::StreamError;
-pub use session::{AppendReport, StreamAnalysis, StreamConfig, StreamSession, DEFAULT_BLOCK};
+pub use session::{
+    AppendReport, SealedPrefix, StreamAnalysis, StreamConfig, StreamSession, DEFAULT_BLOCK,
+};
 pub use summary::{RankSummary, ERROR_TOLERANCE};

@@ -114,6 +114,104 @@ impl StreamAnalysis {
     }
 }
 
+/// An owned snapshot of a session's sealed rows, taken by
+/// [`StreamSession::sealed_prefix`]: the cleaned sealed columns as runs,
+/// the sealed cleaning tallies and, in `bayes` mode, the sealed
+/// variance aggregates.
+#[derive(Debug, Clone)]
+pub struct SealedPrefix {
+    miner: MinerConfig,
+    benchmark: Benchmark,
+    events: Vec<EventId>,
+    sealed_rows: usize,
+    runs: Vec<SimRun>,
+    outliers_replaced: usize,
+    missing_filled: usize,
+    uncertainty: Option<Vec<Vec<VarianceAggregate>>>,
+}
+
+impl SealedPrefix {
+    /// The benchmark the rows were streamed from.
+    pub fn benchmark(&self) -> Benchmark {
+        self.benchmark
+    }
+
+    /// Rows (per run) in the snapshot — a whole number of sealed blocks.
+    pub fn sealed_rows(&self) -> usize {
+        self.sealed_rows
+    }
+
+    /// Trains and ranks on the snapshot: the batch pipeline's modeling
+    /// half, so the result is bit-identical to a cold batch run over the
+    /// same sealed prefix, at any thread count. Touches no session, so it
+    /// may run on any thread. Counts `stream.trains`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dataset, training, and ranking failures.
+    pub fn analyze(&self) -> Result<StreamAnalysis, StreamError> {
+        let _span = cm_obs::span!("stream.analysis", benchmark = self.benchmark.name());
+        let data = collector::build_dataset(&self.runs, &self.events, None)?;
+        let data = collector::aggregate_windows(&data, self.miner.aggregation_window)?;
+        let data = collector::normalize_columns(&data)?;
+
+        // Bayes: fold the per-run aggregates into per-event column
+        // aggregates (run order — deterministic) and rank with them.
+        let column_uncertainty: Option<Vec<f64>> = self.uncertainty.as_ref().map(|per_run| {
+            let mut columns = vec![VarianceAggregate::default(); self.events.len()];
+            for run in per_run {
+                for (column, aggregate) in columns.iter_mut().zip(run) {
+                    column.merge(aggregate);
+                }
+            }
+            let total_variance: f64 = columns.iter().map(|a| a.sum_variance).sum();
+            let reconstructed: u64 = columns.iter().map(|a| a.reconstructed).sum();
+            cm_obs::series_push("clean.variance.total", reconstructed as f64, total_variance);
+            columns
+                .iter()
+                .map(VarianceAggregate::relative_uncertainty)
+                .collect()
+        });
+
+        let ranker = ImportanceRanker::new(self.miner.importance);
+        let eir =
+            ranker.rank_with_uncertainty(&data, &self.events, column_uncertainty.as_deref())?;
+
+        let top: Vec<EventId> = eir
+            .top(self.miner.interaction_top_k)
+            .iter()
+            .map(|&(e, _)| e)
+            .collect();
+        let mapm_cols: Vec<usize> = eir
+            .mapm_events
+            .iter()
+            .map(|e| self.events.iter().position(|x| x == e).expect("mapm event"))
+            .collect();
+        let mapm_data = data
+            .select_features(&mapm_cols)
+            .map_err(counterminer::CmError::Ml)?;
+        let interactions = InteractionRanker::new().rank_pairs_additive(
+            &eir.mapm,
+            &eir.mapm_events,
+            &mapm_data,
+            &top,
+        )?;
+
+        cm_obs::counter_add("stream.trains", 1);
+        Ok(StreamAnalysis {
+            sealed_rows: self.sealed_rows,
+            report: AnalysisReport {
+                benchmark: self.benchmark,
+                cleaner: self.miner.cleaner_kind,
+                eir,
+                interactions,
+                outliers_replaced: self.outliers_replaced,
+                missing_filled: self.missing_filled,
+            },
+        })
+    }
+}
+
 /// Per-(run, event) cleaned values: sealed prefix and re-cleaned tail.
 #[derive(Debug, Default, Clone)]
 struct CleanColumn {
@@ -438,7 +536,8 @@ impl StreamSession {
     }
 
     /// The current incremental analysis, trained on sealed blocks only;
-    /// `None` until the first block seals.
+    /// `None` until the first block seals: [`Self::sealed_prefix`], then
+    /// [`SealedPrefix::analyze`].
     ///
     /// When no new block has sealed since the last call, the previous
     /// result is returned verbatim — the *warm start*, observable as
@@ -450,21 +549,29 @@ impl StreamSession {
     ///
     /// Propagates dataset, training, and ranking failures.
     pub fn analysis(&mut self) -> Result<Option<Arc<StreamAnalysis>>, StreamError> {
-        let sealed_rows = self.sealed_rows();
-        if sealed_rows == 0 {
-            return Ok(None);
-        }
         if let Some((rows, cached)) = &self.cache {
-            if *rows == sealed_rows {
+            if *rows == self.sealed_rows() {
                 cm_obs::counter_add("stream.warm_starts", 1);
                 return Ok(Some(cached.clone()));
             }
         }
-        let _span = cm_obs::span!("stream.analysis", benchmark = self.benchmark.name());
+        let Some(prefix) = self.sealed_prefix() else {
+            return Ok(None);
+        };
+        let analysis = Arc::new(prefix.analyze()?);
+        self.cache = Some((prefix.sealed_rows, analysis.clone()));
+        Ok(Some(analysis))
+    }
 
-        // Assemble the sealed prefix as cleaned runs and replay the
-        // batch pipeline's modeling half over it.
-        let runs: Vec<SimRun> = (0..self.clean.len())
+    /// An owned snapshot of the sealed rows, to analyze apart from the
+    /// session (say, on another thread while appends go on); `None`
+    /// until the first block seals. Later appends never change it.
+    pub fn sealed_prefix(&self) -> Option<SealedPrefix> {
+        let sealed_rows = self.sealed_rows();
+        if sealed_rows == 0 {
+            return None;
+        }
+        let runs = (0..self.clean.len())
             .map(|r| {
                 let mut record = RunRecord::new(self.program.clone(), r as u32, SampleMode::Mlpx);
                 record.set_exec_time_secs(self.exec_secs[r]);
@@ -483,67 +590,16 @@ impl StreamSession {
                 }
             })
             .collect();
-
-        let data = collector::build_dataset(&runs, &self.events, None)?;
-        let data = collector::aggregate_windows(&data, self.config.miner.aggregation_window)?;
-        let data = collector::normalize_columns(&data)?;
-
-        // Bayes: fold the per-run aggregates into per-event column
-        // aggregates (run order — deterministic) and rank with them.
-        let column_uncertainty: Option<Vec<f64>> = self.uncertainty.as_ref().map(|per_run| {
-            let mut columns = vec![VarianceAggregate::default(); self.events.len()];
-            for run in per_run {
-                for (column, aggregate) in columns.iter_mut().zip(run) {
-                    column.merge(aggregate);
-                }
-            }
-            let total_variance: f64 = columns.iter().map(|a| a.sum_variance).sum();
-            let reconstructed: u64 = columns.iter().map(|a| a.reconstructed).sum();
-            cm_obs::series_push("clean.variance.total", reconstructed as f64, total_variance);
-            columns
-                .iter()
-                .map(VarianceAggregate::relative_uncertainty)
-                .collect()
-        });
-
-        let ranker = ImportanceRanker::new(self.config.miner.importance);
-        let eir =
-            ranker.rank_with_uncertainty(&data, &self.events, column_uncertainty.as_deref())?;
-
-        let top: Vec<EventId> = eir
-            .top(self.config.miner.interaction_top_k)
-            .iter()
-            .map(|&(e, _)| e)
-            .collect();
-        let mapm_cols: Vec<usize> = eir
-            .mapm_events
-            .iter()
-            .map(|e| self.events.iter().position(|x| x == e).expect("mapm event"))
-            .collect();
-        let mapm_data = data
-            .select_features(&mapm_cols)
-            .map_err(counterminer::CmError::Ml)?;
-        let interactions = InteractionRanker::new().rank_pairs_additive(
-            &eir.mapm,
-            &eir.mapm_events,
-            &mapm_data,
-            &top,
-        )?;
-
-        let analysis = Arc::new(StreamAnalysis {
+        Some(SealedPrefix {
+            miner: self.config.miner,
+            benchmark: self.benchmark,
+            events: self.events.clone(),
             sealed_rows,
-            report: AnalysisReport {
-                benchmark: self.benchmark,
-                cleaner: self.config.miner.cleaner_kind,
-                eir,
-                interactions,
-                outliers_replaced: self.sealed_outliers,
-                missing_filled: self.sealed_missing,
-            },
-        });
-        self.cache = Some((sealed_rows, analysis.clone()));
-        cm_obs::counter_add("stream.trains", 1);
-        Ok(Some(analysis))
+            runs,
+            outliers_replaced: self.sealed_outliers,
+            missing_filled: self.sealed_missing,
+            uncertainty: self.uncertainty.clone(),
+        })
     }
 
     /// Seals newly completed blocks (cleaning each exactly once) and
@@ -892,6 +948,28 @@ mod tests {
         let mut s3 = StreamSession::open(&mut store2, Benchmark::Sort, bayes_config()).unwrap();
         let c = s3.analysis().unwrap().unwrap();
         assert_eq!(a.report.eir.uncertainty, c.report.eir.uncertainty);
+    }
+
+    #[test]
+    fn sealed_prefix_is_isolated_from_later_appends() {
+        let path = temp_store("prefix");
+        let mut store = Store::open(&path).unwrap();
+        let mut s = StreamSession::open(&mut store, Benchmark::Sort, tiny_stream_config()).unwrap();
+        assert!(s.sealed_prefix().is_none(), "nothing sealed yet");
+        s.append(&mut store, 70).unwrap();
+        let prefix = s.sealed_prefix().unwrap();
+        let want = s.analysis().unwrap().unwrap();
+
+        // Later appends seal three more blocks; the snapshot taken
+        // before them still analyzes exactly as the session did then.
+        s.append(&mut store, 100).unwrap();
+        assert_eq!(s.sealed_rows(), 160);
+        let got = prefix.analyze().unwrap();
+        assert_eq!(prefix.sealed_rows(), 64);
+        assert_eq!(got.sealed_rows, want.sealed_rows);
+        // `Debug` prints every float in round-trip form: equal text is
+        // equal bits, the trained model included.
+        assert_eq!(format!("{:?}", got.report), format!("{:?}", want.report));
     }
 
     #[test]
