@@ -235,8 +235,7 @@ impl ImportanceRanker {
                 }
                 None => {
                     // The two view projections are independent gathers;
-                    // training and batch prediction fan out on the pool
-                    // themselves.
+                    // batch prediction fans out on the pool itself.
                     let (train_view, test_view) = cm_par::join(
                         || train.select_features(&active),
                         || test.select_features(&active),
@@ -576,6 +575,30 @@ mod tests {
         let parallel = ImportanceRanker::new(config).rank(&data, &events).unwrap();
         assert_eq!(serial, two);
         assert_eq!(serial, parallel);
+    }
+
+    /// Golden pin of the whole EIR loop on the hist trainer: a digest
+    /// of the `Debug` text of the `EirResult` (every round's error, the
+    /// ranking, the MAPM's trees) at thread budgets 1 and 2. `f64`
+    /// debug-prints its shortest round-trip form, so an equal digest
+    /// means a bit-equal result. Recorded before the histogram arena and
+    /// the lockstep split scan landed.
+    #[test]
+    fn hist_ranking_matches_golden_digest() {
+        let (data, events) = synthetic(300, 21);
+        let mut config = fast_config();
+        config.sgbrt.trainer = Trainer::Hist;
+        let mut digests = Vec::new();
+        for threads in [1, 2] {
+            cm_par::set_max_threads(threads);
+            let result = ImportanceRanker::new(config).rank(&data, &events).unwrap();
+            digests.push(cm_par::rng::fnv1a_extend(
+                cm_par::rng::FNV1A_OFFSET,
+                format!("{result:?}").as_bytes(),
+            ));
+        }
+        cm_par::set_max_threads(0);
+        assert_eq!(digests, [0x465c_491b_3ad8_ecd2; 2], "{digests:#x?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@ use crate::tree::{FlatForest, RegressionTree, TreeConfig};
 use crate::{hist, Dataset, MlError};
 use cm_par::Rng;
 
-/// Rows per parallel chunk for batch prediction and residual updates.
+/// Rows per parallel chunk for batch prediction.
 const PREDICT_CHUNK: usize = 64;
 
 /// Which split-search algorithm trains each boosting stage.
@@ -213,11 +213,8 @@ impl SgbrtConfig {
             // Retarget the feature matrix at the current residuals —
             // no per-stage clone of the rows.
             let tree = RegressionTree::fit_with_targets(data, &residuals, &sample, self.tree)?;
-            let step: Vec<f64> = cm_par::map_chunked(n, PREDICT_CHUNK, |range| {
-                range.map(|i| tree.predict(data.row(i))).collect()
-            });
-            for (r, p) in residuals.iter_mut().zip(&step) {
-                *r -= self.learning_rate * p;
+            for (i, r) in residuals.iter_mut().enumerate() {
+                *r -= self.learning_rate * tree.predict(data.row(i));
             }
             trees.push(tree);
         }
@@ -273,17 +270,15 @@ impl SgbrtConfig {
         let base = targets.iter().sum::<f64>() / n as f64;
         let mut residuals: Vec<f64> = targets.iter().map(|&y| y - base).collect();
         let mut trees = Vec::with_capacity(self.n_trees);
+        let mut arena = hist::HistArena::default();
 
         for t in 0..self.n_trees {
             let sample = self.stage_sample(n, t);
-            let fitted = hist::fit_hist_tree(view, &residuals, &sample, self.tree)?;
+            let fitted = hist::fit_hist_tree(view, &residuals, &sample, self.tree, &mut arena)?;
             // Route every row through the tree by bin code — no raw
             // feature reads in the training loop.
-            let step: Vec<f64> = cm_par::map_chunked(n, PREDICT_CHUNK, |range| {
-                range.map(|i| fitted.route(view, i)).collect()
-            });
-            for (r, p) in residuals.iter_mut().zip(&step) {
-                *r -= self.learning_rate * p;
+            for (i, r) in residuals.iter_mut().enumerate() {
+                *r -= self.learning_rate * fitted.route(view, i);
             }
             trees.push(fitted.tree);
         }
@@ -856,6 +851,70 @@ mod tests {
         .fit(&data)
         .unwrap();
         model.predict_batch_flat(&[1.0, 2.0, 3.0]);
+    }
+
+    /// FNV-1a of a value's `Debug` text. `f64` debug-prints its
+    /// shortest round-trip form, so equal digests mean bit-equal models.
+    fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+        cm_par::rng::fnv1a_extend(cm_par::rng::FNV1A_OFFSET, format!("{value:?}").as_bytes())
+    }
+
+    /// Golden pin of the histogram trainer: every stage of two
+    /// `fit_binned` runs (a 7-column view mixing full 256-bin columns
+    /// with low-cardinality ones, and a 3-column projection of it) at
+    /// thread budgets 1 and 2. The digest was recorded before the
+    /// histogram arena and the four-column lockstep split scan replaced
+    /// the per-column histograms and the one-column scan; a change to
+    /// split search that is meant to be exact must keep it.
+    #[test]
+    fn fit_binned_matches_golden_digest() {
+        let base = friedman_like(320, 41);
+        let rows: Vec<Vec<f64>> = base
+            .rows()
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.push((r[0] * 4.0).round());
+                r.push((r[3] * 10.0).floor());
+                r.push(r[1]);
+                r
+            })
+            .collect();
+        let data = Dataset::new(rows, base.targets().to_vec()).unwrap();
+        let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+        let configs = [
+            SgbrtConfig {
+                n_trees: 40,
+                ..SgbrtConfig::default()
+            }
+            .with_seed(5),
+            SgbrtConfig {
+                n_trees: 20,
+                subsample: 0.8,
+                tree: TreeConfig {
+                    max_depth: 6,
+                    min_samples_leaf: 5,
+                    min_samples_split: 10,
+                },
+                ..SgbrtConfig::default()
+            }
+            .with_seed(6),
+        ];
+        let mut digests = Vec::new();
+        for threads in [1, 2] {
+            cm_par::set_max_threads(threads);
+            let mut h = cm_par::rng::FNV1A_OFFSET;
+            for config in configs {
+                for cols in [vec![0usize, 1, 2, 3, 4, 5, 6], vec![5, 1, 4]] {
+                    let view = binned.select(&cols).unwrap();
+                    let model = config.fit_binned(&view, data.targets()).unwrap();
+                    h = cm_par::rng::fnv1a_extend(h, &debug_digest(&model).to_le_bytes());
+                }
+            }
+            digests.push(h);
+        }
+        cm_par::set_max_threads(0);
+        assert_eq!(digests, [0x7c59_a4b5_7c53_ee99; 2], "{digests:#x?}");
     }
 
     #[test]

@@ -1,9 +1,5 @@
 use crate::{Dataset, MlError};
 
-/// Below this many feature·row units of work, a node's split search and
-/// partition run serially — scheduling overhead would dominate.
-const PAR_MIN_WORK: usize = 8192;
-
 /// Configuration for a single CART regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
@@ -63,9 +59,8 @@ pub(crate) enum Node {
 /// Split search is *presorted*: per-feature sample orders are sorted
 /// once per tree, and every node scans them in O(features · rows) with
 /// a stable lockstep partition carrying the orders down the recursion —
-/// instead of re-sorting every feature at every node. Per-node feature
-/// scans fan out across the [`cm_par`] thread pool; the chosen split is
-/// identical at any thread count.
+/// instead of re-sorting every feature at every node. A fit runs on its
+/// calling thread, so the grown tree is a pure function of its inputs.
 ///
 /// # Examples
 ///
@@ -444,18 +439,15 @@ impl SplitWorkspace {
     fn new(data: &Dataset, targets: &[f64], indices: &[usize]) -> Self {
         let m = indices.len();
         let n_features = data.n_features();
-        // Gathering a column and sorting its order is independent per
-        // feature; this is the O(F·m log m) once-per-tree cost replacing
-        // the seed algorithm's per-node re-sorts.
-        let mut gathered = cm_par::map_range(n_features, |f| {
+        // Gathering a column and sorting its order is the O(F·m log m)
+        // once-per-tree cost replacing the seed algorithm's per-node
+        // re-sorts.
+        let mut cols = Vec::with_capacity(n_features);
+        let mut orders = Vec::with_capacity(n_features);
+        for f in 0..n_features {
             let col: Vec<f64> = indices.iter().map(|&i| data.row(i)[f]).collect();
             let mut order: Vec<u32> = (0..m as u32).collect();
             order.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
-            (col, order)
-        });
-        let mut cols = Vec::with_capacity(n_features);
-        let mut orders = Vec::with_capacity(n_features);
-        for (col, order) in gathered.drain(..) {
             cols.push(col);
             orders.push(order);
         }
@@ -477,12 +469,11 @@ impl SplitWorkspace {
 
     /// Finds the variance-reduction-optimal split over all features, or
     /// `None` when no split satisfies the leaf-size constraint or
-    /// improves the squared error. Features are scanned in parallel;
-    /// the cross-feature reduction prefers the lowest feature on exact
-    /// ties, matching a sequential feature-major scan.
+    /// improves the squared error. On exact ties the lowest feature
+    /// wins.
     fn best_split(&self, seg: std::ops::Range<usize>, min_leaf: usize) -> Option<SplitChoice> {
         let n = seg.len();
-        if n < 2 * min_leaf {
+        if n < min_leaf.saturating_mul(2) {
             return None;
         }
         let root_order = &self.orders[0][seg.clone()];
@@ -526,17 +517,9 @@ impl SplitWorkspace {
             best
         };
 
-        let n_features = self.cols.len();
-        let candidates: Vec<Option<(f64, f64)>> =
-            if n.saturating_mul(n_features) >= PAR_MIN_WORK && cm_par::max_threads() > 1 {
-                cm_par::map_range(n_features, scan_feature)
-            } else {
-                (0..n_features).map(scan_feature).collect()
-            };
-
         let mut best: Option<SplitChoice> = None;
-        for (feature, cand) in candidates.into_iter().enumerate() {
-            if let Some((improvement, threshold)) = cand {
+        for feature in 0..self.cols.len() {
+            if let Some((improvement, threshold)) = scan_feature(feature) {
                 if best.as_ref().is_none_or(|b| improvement > b.improvement) {
                     best = Some(SplitChoice {
                         feature,
@@ -567,14 +550,14 @@ impl SplitWorkspace {
             left_n += left as usize;
         }
 
-        let goes_left = &self.goes_left;
-        let partition_one = |order: &mut Vec<u32>| {
+        let mut kept = Vec::with_capacity(n - left_n);
+        for order in &mut self.orders {
             let slice = &mut order[seg.clone()];
-            let mut kept = Vec::with_capacity(n - left_n);
+            kept.clear();
             let mut write = 0usize;
             for read in 0..n {
                 let p = slice[read];
-                if goes_left[p as usize] {
+                if self.goes_left[p as usize] {
                     slice[write] = p;
                     write += 1;
                 } else {
@@ -582,14 +565,6 @@ impl SplitWorkspace {
                 }
             }
             slice[write..].copy_from_slice(&kept);
-        };
-
-        if n.saturating_mul(self.orders.len()) >= PAR_MIN_WORK && cm_par::max_threads() > 1 {
-            cm_par::map_mut(&mut self.orders, |_, order| partition_one(order));
-        } else {
-            for order in &mut self.orders {
-                partition_one(order);
-            }
         }
         seg.start + left_n
     }
@@ -650,6 +625,23 @@ mod tests {
         .unwrap();
         // Only one split (4 | 4) is legal.
         assert_eq!(tree.split_count(), 1);
+    }
+
+    /// `TreeConfig::validate` accepts any positive leaf size; one no
+    /// node can satisfy must give a single leaf, not overflow `2 · n`.
+    #[test]
+    fn unsatisfiable_min_samples_leaf_gives_single_leaf() {
+        let data = step_data(40);
+        let tree = RegressionTree::fit(
+            &data,
+            TreeConfig {
+                min_samples_leaf: usize::MAX,
+                ..TreeConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(tree.split_count(), 0);
+        assert_eq!(tree.predict(&[0.0, 0.0]), 0.0);
     }
 
     #[test]
@@ -767,7 +759,7 @@ mod tests {
         min_leaf: usize,
     ) -> Option<(usize, f64)> {
         let n = indices.len();
-        if n < 2 * min_leaf {
+        if n < min_leaf.saturating_mul(2) {
             return None;
         }
         let total_sum: f64 = indices.iter().map(|&i| data.target(i)).sum();

@@ -1,6 +1,6 @@
 //! Deterministic parallel execution layer for the CounterMiner workspace.
 //!
-//! Every compute kernel of the pipeline — SGBRT split search, k-fold
+//! Every compute kernel of the pipeline — SGBRT batch prediction, k-fold
 //! cross-validation, the O(P²) interaction-pair fits, per-series
 //! cleaning, batch DTW — is embarrassingly parallel at some granularity,
 //! but the results must stay **bit-identical at any thread count**: the
@@ -23,12 +23,11 @@
 //! draws a parallel region makes are keyed on seeds, never on threads.
 //!
 //! Work is executed on a lazily-spawned global pool of persistent worker
-//! threads (spawning an OS thread per parallel region would dwarf the
-//! fine-grained regions the GBRT split search creates). The calling
-//! thread always participates in its own region, so nested regions —
-//! e.g. a parallel cross-validation fold training a tree whose split
-//! search is itself parallel — cannot deadlock even when every worker is
-//! busy.
+//! threads (spawning an OS thread per parallel region would dwarf short
+//! regions such as a batch prediction's row chunks). The calling thread
+//! always participates in its own region, so nested regions — e.g. a
+//! parallel cross-validation fold whose model bins its features and
+//! predicts in parallel — cannot deadlock even when every worker is busy.
 //!
 //! # Thread-count control
 //!
@@ -388,7 +387,7 @@ mod tests {
     #[test]
     fn nested_regions_complete() {
         // A region whose work items each open their own region — the
-        // shape cross-validation + split search produces. Must not
+        // shape cross-validation + batch prediction produces. Must not
         // deadlock even when the pool is saturated.
         let got = with_threads(4, || {
             map_range(8, |i| {

@@ -1,8 +1,8 @@
 //! The persistent worker pool behind the parallel combinators.
 //!
-//! Parallel regions in this workspace are frequently *fine-grained* —
-//! the GBRT split search opens one region per tree node — so spawning
-//! OS threads per region would cost more than the work itself. Instead
+//! Parallel regions in this workspace can be *fine-grained* — a batch
+//! prediction splits a few hundred rows into chunks — so spawning OS
+//! threads per region would cost more than the work itself. Instead
 //! a global set of workers is spawned once and fed region jobs through
 //! a channel; each region is drained cooperatively by the workers *and*
 //! the calling thread, which keeps nested regions deadlock-free (the
