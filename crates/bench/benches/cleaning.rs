@@ -29,8 +29,19 @@ fn bench_cleaning(s: &mut Sampler) {
     }
 }
 
+/// The cleaner's per-series normality test at the length of one
+/// benchmark run (~425 intervals).
+fn bench_anderson(s: &mut Sampler) {
+    let mut group = s.group("anderson", 30);
+    let series = dirty_series(425);
+    group.bench("425", || {
+        cm_stats::anderson::normality_test(std::hint::black_box(series.values())).unwrap()
+    });
+}
+
 fn main() {
     let mut s = Sampler::from_args("cleaning");
     bench_cleaning(&mut s);
+    bench_anderson(&mut s);
     s.finish();
 }

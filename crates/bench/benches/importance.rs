@@ -51,12 +51,14 @@ fn bench_importance_threads(s: &mut Sampler) {
         min_events: 10,
         ..ImportanceConfig::default()
     });
-    for (label, threads) in [("serial", 1usize), ("parallel", 0)] {
-        cm_par::set_max_threads(threads);
-        group.bench(format!("eir_40ev/{label}"), || {
-            ranker.rank(std::hint::black_box(&data), &events).unwrap()
-        });
-    }
+    // Serial and parallel samples alternate, so host drift cannot favour
+    // either side of the pair.
+    let budgets = [1usize, 0];
+    group.bench_interleaved(
+        &["eir_40ev/serial", "eir_40ev/parallel"],
+        |j| cm_par::set_max_threads(budgets[j]),
+        |_| ranker.rank(std::hint::black_box(&data), &events).unwrap(),
+    );
     cm_par::set_max_threads(0);
 }
 

@@ -9,7 +9,8 @@ fn bench_pmu(s: &mut Sampler) {
     let workload = Workload::new(Benchmark::Wordcount, &catalog);
     let pmu = PmuConfig::default();
     let mut group = s.group("pmu", 10);
-    for n_events in [10usize, 36] {
+    // 60 is the event count the pipeline measures by default.
+    for n_events in [10usize, 36, 60] {
         let events = workload.top_event_ids(&catalog, n_events);
         group.bench(format!("ocoe/{n_events}"), || {
             pmu.simulate_ocoe(&workload, &events, 0, 1)

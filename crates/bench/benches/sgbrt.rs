@@ -45,15 +45,20 @@ fn bench_sgbrt_threads(s: &mut Sampler) {
         ..SgbrtConfig::default()
     };
     let model = config.fit(&data).unwrap();
-    for (label, threads) in [("serial", 1usize), ("parallel", 0)] {
-        cm_par::set_max_threads(threads);
-        group.bench(format!("fit_400x60/{label}"), || {
-            config.fit(std::hint::black_box(&data)).unwrap()
-        });
-        group.bench(format!("predict_batch/{label}"), || {
-            model.predict_batch(std::hint::black_box(data.rows()))
-        });
-    }
+    // Serial and parallel samples alternate, so host drift cannot favour
+    // either side of the pair.
+    let budgets = [1usize, 0];
+    let budget = |j: usize| cm_par::set_max_threads(budgets[j]);
+    group.bench_interleaved(
+        &["fit_400x60/serial", "fit_400x60/parallel"],
+        budget,
+        |_| config.fit(std::hint::black_box(&data)).unwrap(),
+    );
+    group.bench_interleaved(
+        &["predict_batch/serial", "predict_batch/parallel"],
+        budget,
+        |_| model.predict_batch(std::hint::black_box(data.rows())),
+    );
     cm_par::set_max_threads(0);
 }
 

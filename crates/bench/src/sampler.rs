@@ -108,36 +108,64 @@ pub struct Group<'a> {
 impl Group<'_> {
     /// Times `routine` under the id `<group>/<id>`.
     pub fn bench<R>(&mut self, id: impl Display, mut routine: impl FnMut() -> R) {
-        let id = format!("{}/{id}", self.name);
+        self.bench_interleaved(&[id], |_| {}, |_| routine());
+    }
+
+    /// Times `routine(j)` under the id `<group>/<ids[j]>` for every `j`,
+    /// taking the samples in turn (sample 1 of every id, then sample 2,
+    /// ...), so a drift in host speed during the group lands on every id
+    /// alike instead of on whichever ran last. `prepare(j)` runs, untimed,
+    /// before each warm-up and each sample of id `j`: a serial/parallel
+    /// pair sets its thread budget there.
+    pub fn bench_interleaved<R>(
+        &mut self,
+        ids: &[impl Display],
+        mut prepare: impl FnMut(usize),
+        mut routine: impl FnMut(usize) -> R,
+    ) {
+        let ids: Vec<String> = ids.iter().map(|id| format!("{}/{id}", self.name)).collect();
         if !self.sampler.measure {
-            black_box(routine());
+            for j in 0..ids.len() {
+                prepare(j);
+                black_box(routine(j));
+            }
             return;
         }
 
-        // Warm up, and estimate one iteration's cost while doing it.
-        let start = Instant::now();
-        let mut warm_iters = 0u64;
-        while warm_iters == 0 || start.elapsed() < WARM_UP {
-            black_box(routine());
-            warm_iters += 1;
-        }
-        let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
+        // Warm up each id, and estimate one iteration's cost while doing it.
         let per_sample = MEASURE.as_secs_f64() / self.sample_size as f64;
-        let iters = ((per_sample / per_iter).ceil() as u64).max(1);
+        let iters: Vec<u64> = (0..ids.len())
+            .map(|j| {
+                prepare(j);
+                let start = Instant::now();
+                let mut warm_iters = 0u64;
+                while warm_iters == 0 || start.elapsed() < WARM_UP {
+                    black_box(routine(j));
+                    warm_iters += 1;
+                }
+                let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
+                ((per_sample / per_iter).ceil() as u64).max(1)
+            })
+            .collect();
 
-        let mut total_ns = 0.0;
+        let mut total_ns = vec![0.0; ids.len()];
         for _ in 0..self.sample_size {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(routine());
+            for (j, &iters) in iters.iter().enumerate() {
+                prepare(j);
+                let t = Instant::now();
+                for _ in 0..iters {
+                    black_box(routine(j));
+                }
+                total_ns[j] += t.elapsed().as_nanos() as f64 / iters as f64;
             }
-            total_ns += t.elapsed().as_nanos() as f64 / iters as f64;
         }
-        let ns = total_ns / self.sample_size as f64;
-        println!(
-            "{id:<48} {:>14.0} ns/iter  ({} x {iters} iters)",
-            ns, self.sample_size
-        );
-        self.sampler.results.push((id, ns));
+        for ((id, total_ns), iters) in ids.into_iter().zip(total_ns).zip(iters) {
+            let ns = total_ns / self.sample_size as f64;
+            println!(
+                "{id:<48} {:>14.0} ns/iter  ({} x {iters} iters)",
+                ns, self.sample_size
+            );
+            self.sampler.results.push((id, ns));
+        }
     }
 }

@@ -430,6 +430,62 @@ mod tests {
         assert_eq!(after, (1..=32).collect::<Vec<_>>());
     }
 
+    /// A region opened inside another region's unit while every other
+    /// runner holds an outer unit: its helper job waits in the queue
+    /// until its caller has drained it alone. Such a job is counted as
+    /// `par.sched.stale_jobs`, and its wait — here at least `HOLD` —
+    /// stays out of `par.sched.queue_wait_ns`.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn helper_job_of_a_drained_nested_region_is_stale() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        const HOLD: Duration = Duration::from_secs(1);
+        let workers = with_threads(16, pool::workers);
+        if workers == 0 {
+            return; // serial fallback: no queue to wait in
+        }
+        let counters = with_threads(workers + 1, || {
+            cm_obs::set_mode(cm_obs::Mode::Summary);
+            cm_obs::Registry::global().drain();
+            let inner_done = AtomicBool::new(false);
+            pool::run_units(workers + 1, &|i| {
+                if i == 0 {
+                    pool::run_units(2, &|_| {});
+                    std::thread::sleep(HOLD);
+                    inner_done.store(true, Ordering::Release);
+                } else {
+                    while !inner_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            // The stale job runs once a worker has left its outer unit.
+            let mut counters = std::collections::BTreeMap::<String, u64>::new();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !counters.contains_key("par.sched.stale_jobs") && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+                for (name, v) in cm_obs::Registry::global().drain().counters {
+                    *counters.entry(name).or_default() += v;
+                }
+            }
+            cm_obs::set_mode(cm_obs::Mode::Off);
+            counters
+        });
+        assert!(
+            counters.get("par.sched.stale_jobs") >= Some(&1),
+            "{counters:?}"
+        );
+        let waited = counters
+            .get("par.sched.queue_wait_ns")
+            .copied()
+            .unwrap_or(0);
+        assert!(
+            waited < HOLD.as_nanos() as u64,
+            "a stale job's wait was counted: {counters:?}"
+        );
+    }
+
     #[test]
     fn work_actually_runs_once_per_unit() {
         let counter = AtomicU64::new(0);

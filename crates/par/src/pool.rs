@@ -225,10 +225,19 @@ pub(crate) fn run_units(n: usize, f: &(dyn Fn(usize) + Sync)) {
             let _ = tx.send(Box::new(move || {
                 if let Some(sent_at) = sent_at {
                     cm_obs::counter_add("par.sched.helper_jobs", 1);
-                    cm_obs::counter_add(
-                        "par.sched.queue_wait_ns",
-                        sent_at.elapsed().as_nanos() as u64,
-                    );
+                    if region.next.load(Ordering::Relaxed) >= region.n {
+                        // Every unit was claimed before this job left
+                        // the queue — typically a region opened inside
+                        // another region's unit while every worker ran
+                        // an outer unit, so its caller drained it alone.
+                        // Its wait delayed no unit: count it apart.
+                        cm_obs::counter_add("par.sched.stale_jobs", 1);
+                    } else {
+                        cm_obs::counter_add(
+                            "par.sched.queue_wait_ns",
+                            sent_at.elapsed().as_nanos() as u64,
+                        );
+                    }
                 }
                 drain_timed(&region, work);
             }));
@@ -245,4 +254,11 @@ pub(crate) fn run_units(n: usize, f: &(dyn Fn(usize) + Sync)) {
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
     }
+}
+
+/// Workers in the global pool (spawning it on first use); 0 when it
+/// could not spawn any.
+#[cfg(test)]
+pub(crate) fn workers() -> usize {
+    global_pool().map_or(0, |pool| pool.workers)
 }

@@ -1,3 +1,4 @@
+use crate::process::SubsliceSplit;
 use crate::workload::{fnv_extend, GeneratedRun, Workload};
 
 /// Anything whose activity the PMU can measure: a single [`Workload`] or
@@ -127,7 +128,7 @@ impl PmuConfig {
         seed: u64,
     ) -> SimRun {
         self.check();
-        let truth = workload.generate_run(run_index, seed);
+        let truth = workload.generate_measured(run_index, seed, events);
         self.measure_ocoe(workload, &truth, events, run_index, seed)
     }
 
@@ -141,7 +142,7 @@ impl PmuConfig {
         seed: u64,
     ) -> SimRun {
         self.check();
-        let truth = workload.generate_run(run_index, seed);
+        let truth = workload.generate_measured(run_index, seed, events);
         self.measure_mlpx(workload, &truth, events, run_index, seed)
     }
 
@@ -230,27 +231,40 @@ impl PmuConfig {
         let mut samples: u64 = 0;
         let mut switches: u64 = 0;
         let mut prev_group: Option<usize> = None;
+        // Reused per interval: the subslices each group runs in, and the
+        // raw subslice weights of one sample.
+        let mut group_slices: Vec<Vec<usize>> = vec![Vec::new(); groups];
+        let mut raw = vec![0.0; self.subslices];
         for t in 0..n {
             let slice_groups = self.assign_slices(&last, ids.len(), groups, t);
-            for &g in &slice_groups {
+            for slices in &mut group_slices {
+                slices.clear();
+            }
+            for (k, &g) in slice_groups.iter().enumerate() {
                 if prev_group.is_some_and(|p| p != g) {
                     switches += 1;
                 }
                 prev_group = Some(g);
+                group_slices[g].push(k);
             }
+            // Boundary double-count glitches happen at rotation
+            // boundaries: more scheduled groups rotate more often, so
+            // the per-sample glitch probability scales with their count.
+            let scheduled = slice_groups.iter().copied().max().unwrap_or(0) + 1;
+            let glitch = (self.glitch_prob * 0.5 * (scheduled as f64 - 1.0)).min(0.03);
             for (pos, &event) in ids.iter().enumerate() {
                 let truth_val = truth.counts[event.index()][t];
                 let value = if groups <= 1 {
                     // Everything fits on the counters: no multiplexing.
                     Some(truth_val * (1.0 + self.ocoe_noise * rng.range_f64(-1.0..1.0)))
                 } else {
-                    self.multiplexed_value(
-                        source,
-                        event,
+                    multiplexed_value(
+                        &mut raw,
+                        source.burstiness(event),
                         truth_val,
                         truth.z[event.index()][t],
-                        pos / self.counters,
-                        &slice_groups,
+                        &group_slices[pos / self.counters],
+                        glitch,
                         &mut rng,
                     )
                 };
@@ -365,45 +379,35 @@ impl PmuConfig {
             }
         }
     }
+}
 
-    /// Reconstructs one interval value for one multiplexed event, or
-    /// `None` when the schedule never ran the event's group during this
-    /// interval (caller interpolates).
-    #[allow(clippy::too_many_arguments)]
-    fn multiplexed_value<W: ActivitySource>(
-        &self,
-        source: &W,
-        event: EventId,
-        truth_val: f64,
-        z: f64,
-        group: usize,
-        slice_groups: &[usize],
-        rng: &mut Rng,
-    ) -> Option<f64> {
-        let s = self.subslices;
-        let weights = crate::process::subslice_weights(s, source.burstiness(event), z, rng);
-        let mut observed = 0.0;
-        let mut active = 0usize;
-        for (k, w) in weights.iter().enumerate() {
-            if slice_groups[k] == group {
-                observed += truth_val * w;
-                active += 1;
-            }
-        }
-        if active == 0 {
-            return None;
-        }
-        let mut value = observed * s as f64 / active as f64;
-        // Boundary double-count glitches happen at rotation boundaries:
-        // more groups rotate more often, so the per-interval glitch
-        // probability scales with the group count.
-        let groups = slice_groups.iter().copied().max().unwrap_or(0) + 1;
-        let glitch = (self.glitch_prob * 0.5 * (groups as f64 - 1.0)).min(0.03);
-        if rng.next_f64() < glitch {
-            value *= 4.0 + 4.0 * rng.next_f64();
-        }
-        Some(value)
+/// Reconstructs one interval value for one multiplexed event from the
+/// subslices its group ran in (`active`), or `None` when the schedule
+/// never ran the group during this interval (caller interpolates).
+/// `raw` is scratch for the interval's subslice weights; the draws are
+/// made whether or not the group ran.
+fn multiplexed_value(
+    raw: &mut [f64],
+    burstiness: f64,
+    truth_val: f64,
+    z: f64,
+    active: &[usize],
+    glitch: f64,
+    rng: &mut Rng,
+) -> Option<f64> {
+    let split = SubsliceSplit::draw(raw, burstiness, z, rng);
+    if active.is_empty() {
+        return None;
     }
+    let mut observed = 0.0;
+    for &k in active {
+        observed += truth_val * split.weight(k);
+    }
+    let mut value = observed * raw.len() as f64 / active.len() as f64;
+    if rng.next_f64() < glitch {
+        value *= 4.0 + 4.0 * rng.next_f64();
+    }
+    Some(value)
 }
 
 /// Fills unobserved (`None`) intervals by linear interpolation between

@@ -127,12 +127,38 @@ const MIN_ACTIVITY: f64 = 1e-3;
 #[derive(Debug, Clone)]
 pub(crate) struct ProcessState {
     params: ProcessParams,
+    /// `sqrt(1 - rho²)`: the AR(1) innovation scale, fixed per process.
+    innovation_scale: f64,
     ar: f64,
 }
 
 impl ProcessState {
     pub fn new(params: ProcessParams) -> Self {
-        ProcessState { params, ar: 0.0 }
+        ProcessState {
+            params,
+            innovation_scale: (1.0 - params.rho * params.rho).sqrt(),
+            ar: 0.0,
+        }
+    }
+
+    /// Advances `rng` past one interval of this process exactly as
+    /// [`ProcessState::step`] would, computing nothing: two draws for a
+    /// Gaussian innovation, one for a long-tail one, one for the burst
+    /// check and one more when the burst fires. An event nothing reads
+    /// skips every interval of a run, so every event after it still
+    /// sees the draws it would have seen; its own AR state is left
+    /// stale, so one run must not mix `skip` and `step` on one state.
+    pub fn skip(&self, rng: &mut Rng) {
+        let innovation_draws = match self.params.family {
+            TailFamily::Gaussian => 2,
+            TailFamily::LongTail => 1,
+        };
+        for _ in 0..innovation_draws {
+            rng.next_u64();
+        }
+        if rng.next_f64() < self.params.burst_prob {
+            rng.next_u64();
+        }
     }
 
     /// Advances one interval; returns `(z, count)`.
@@ -147,7 +173,7 @@ impl ProcessState {
             // roughly unit variance.
             TailFamily::LongTail => (gumbel_std(rng) - 0.5772) / 1.2825,
         };
-        self.ar = p.rho * self.ar + (1.0 - p.rho * p.rho).sqrt() * eps;
+        self.ar = p.rho * self.ar + self.innovation_scale * eps;
         let mut z = self.ar;
         if rng.next_f64() < p.burst_prob {
             z += 1.8 + 2.2 * rng.next_f64();
@@ -179,8 +205,7 @@ impl ProcessState {
     }
 }
 
-/// Splits an interval's activity across `s` subslices, returning weights
-/// summing to 1.
+/// How one interval's activity splits across its subslices.
 ///
 /// Calm intervals spread activity near-uniformly (mild jitter), so
 /// time-based extrapolation is only mildly wrong — matching the paper's
@@ -189,6 +214,87 @@ impl ProcessState {
 /// subslice, which produces a gross over-estimate when that slice is
 /// observed (Fig. 2(a)'s outliers) and an exact zero when it is not
 /// (Fig. 2(b)'s missing values).
+///
+/// The split keeps only the raw jitter draws and the shape of the
+/// interval; [`SubsliceSplit::weight`] forms one slice's weight on
+/// demand, so the PMU pays a division only for the one or two slices
+/// its event was scheduled in. Each weight is bit-identical to the
+/// materialised weights of `subslice_weights` (kept as the test oracle).
+pub(crate) struct SubsliceSplit<'a> {
+    raw: &'a [f64],
+    shape: Shape,
+}
+
+enum Shape {
+    /// The whole burst landed in slice `hot`.
+    OneHot { hot: usize },
+    /// A `gamma` share rides slice `hot`; every slice carries
+    /// `raw[k] · scale` besides.
+    Partial { hot: usize, scale: f64, gamma: f64 },
+    /// `raw[k] / total`.
+    Even { total: f64 },
+}
+
+impl<'a> SubsliceSplit<'a> {
+    /// Draws the split of one interval into `raw`, one jitter weight per
+    /// subslice (`raw.len()` is the subslice count), making the same
+    /// draws in the same order as the materialising oracle.
+    pub fn draw(raw: &'a mut [f64], burstiness: f64, z: f64, rng: &mut Rng) -> Self {
+        debug_assert!(!raw.is_empty());
+        for w in raw.iter_mut() {
+            *w = 1.0 + 0.25 * rng.next_f64();
+        }
+        let shape = if z > 1.35 {
+            let gamma = (burstiness * (z - 1.35) / 2.5).clamp(0.0, 0.95);
+            let hot = rng.range_usize(0..raw.len());
+            if rng.next_f64() < 0.5 * gamma {
+                Shape::OneHot { hot }
+            } else {
+                // Partial concentration: a mild gamma-fraction rides the
+                // hot slice (gross concentrations were handled above).
+                let gamma = 0.3 * gamma;
+                let total: f64 = raw.iter().sum();
+                Shape::Partial {
+                    hot,
+                    scale: (1.0 - gamma) / total,
+                    gamma,
+                }
+            }
+        } else {
+            Shape::Even {
+                total: raw.iter().sum(),
+            }
+        };
+        SubsliceSplit { raw, shape }
+    }
+
+    /// The share of the interval's activity that lands in slice `k`.
+    pub fn weight(&self, k: usize) -> f64 {
+        match self.shape {
+            Shape::OneHot { hot } => {
+                if k == hot {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Shape::Partial { hot, scale, gamma } => {
+                let w = self.raw[k] * scale;
+                if k == hot {
+                    w + gamma
+                } else {
+                    w
+                }
+            }
+            Shape::Even { total } => self.raw[k] / total,
+        }
+    }
+}
+
+/// Splits an interval's activity across `s` subslices, returning weights
+/// summing to 1: the materialising form of [`SubsliceSplit`], kept as
+/// its oracle.
+#[cfg(test)]
 pub(crate) fn subslice_weights(s: usize, burstiness: f64, z: f64, rng: &mut Rng) -> Vec<f64> {
     debug_assert!(s > 0);
     let mut w: Vec<f64> = (0..s).map(|_| 1.0 + 0.25 * rng.next_f64()).collect();
@@ -196,13 +302,10 @@ pub(crate) fn subslice_weights(s: usize, burstiness: f64, z: f64, rng: &mut Rng)
         let gamma = (burstiness * (z - 1.35) / 2.5).clamp(0.0, 0.95);
         let hot = rng.range_usize(0..s);
         if rng.next_f64() < 0.5 * gamma {
-            // The whole burst lands in one subslice.
             w.fill(0.0);
             w[hot] = 1.0;
             return w;
         }
-        // Partial concentration: a mild gamma-fraction rides the hot
-        // slice (gross concentrations were handled above).
         let gamma = 0.3 * gamma;
         let total: f64 = w.iter().sum();
         for x in &mut w {
@@ -359,6 +462,67 @@ mod tests {
             assert_eq!(w.len(), s);
             assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(w.iter().all(|&x| x >= 0.0));
+        }
+    }
+
+    #[test]
+    fn lazy_split_matches_materialised_oracle() {
+        let mut raw = [0.0; 24];
+        let (mut one_hot, mut partial) = (0, 0);
+        for s in [1usize, 2, 15, 24] {
+            for burstiness in [0.0, 0.3, 0.9] {
+                for z in [-1.0, 0.0, 1.35, 1.36, 2.0, 4.0, 9.0] {
+                    for seed in 0..40 {
+                        let mut oracle_rng = Rng::new(seed);
+                        let mut lazy_rng = Rng::new(seed);
+                        let oracle = subslice_weights(s, burstiness, z, &mut oracle_rng);
+                        let split =
+                            SubsliceSplit::draw(&mut raw[..s], burstiness, z, &mut lazy_rng);
+                        match split.shape {
+                            Shape::OneHot { .. } => one_hot += 1,
+                            Shape::Partial { .. } => partial += 1,
+                            Shape::Even { .. } => {}
+                        }
+                        for (k, w) in oracle.iter().enumerate() {
+                            assert_eq!(split.weight(k).to_bits(), w.to_bits(), "s={s} z={z} k={k}");
+                        }
+                        assert_eq!(lazy_rng, oracle_rng, "same draws, same order");
+                    }
+                }
+            }
+        }
+        assert!(
+            one_hot > 100 && partial > 100,
+            "{one_hot} one-hot, {partial} partial"
+        );
+    }
+
+    #[test]
+    fn skip_makes_exactly_the_draws_of_step() {
+        let c = catalog();
+        for (abbrev, family) in [
+            (abbrev::BRB, TailFamily::Gaussian),
+            (abbrev::MSL, TailFamily::LongTail),
+        ] {
+            let derived = ProcessParams::derive(c.by_abbrev(abbrev).unwrap(), 4);
+            assert_eq!(derived.family, family);
+            // Never, always and sometimes bursting.
+            for burst_prob in [0.0, 1.0, 0.5, derived.burst_prob] {
+                let params = ProcessParams {
+                    burst_prob,
+                    ..derived
+                };
+                for seed in 0..10 {
+                    let mut stepped = ProcessState::new(params);
+                    let skipped = ProcessState::new(params);
+                    let (mut a, mut b) = (Rng::new(seed), Rng::new(seed));
+                    for t in 0..60 {
+                        stepped.step(t, 60, &mut a);
+                        skipped.skip(&mut b);
+                        assert_eq!(a, b, "{family:?} p={burst_prob} seed={seed} t={t}");
+                    }
+                }
+            }
         }
     }
 

@@ -31,6 +31,9 @@ pub struct Workload {
     params: Vec<ProcessParams>,
     catalog_len: usize,
     profile_ids: Vec<EventId>,
+    /// Per catalog event: whether the IPC model reads its activity (a
+    /// nonzero main-effect weight or a place in an interaction pair).
+    read_mask: Vec<bool>,
 }
 
 /// How strongly a benchmark's activity processes lean on its
@@ -47,6 +50,14 @@ const FAMILY_WEIGHT: f64 = 0.75;
 const ANOMALY_SCALE: [f64; 3] = [6.0, 5.0, 4.0];
 
 /// Ground-truth data of one simulated run, before any PMU measurement.
+///
+/// Every public generator fills `counts` and `z` for every catalog
+/// event. Only the crate-private `Workload::generate_measured`, behind
+/// [`PmuConfig::simulate_mlpx`](crate::PmuConfig::simulate_mlpx) and
+/// [`PmuConfig::simulate_ocoe`](crate::PmuConfig::simulate_ocoe), leaves
+/// the series of events that are neither measured nor read by the IPC
+/// model empty; it still makes their draws, so every other series is
+/// unchanged.
 #[derive(Debug, Clone)]
 pub struct GeneratedRun {
     /// Number of sampling intervals (varies run to run — OS jitter).
@@ -84,12 +95,22 @@ impl Workload {
             .iter()
             .map(|a| catalog.by_abbrev(a).expect("profile event").id())
             .collect();
+        let model = TrueModel::new(benchmark, catalog);
+        let mut read_mask: Vec<bool> = catalog
+            .iter()
+            .map(|i| model.weight(i.id()) != 0.0)
+            .collect();
+        for &(a, b, _) in model.interactions() {
+            read_mask[a] = true;
+            read_mask[b] = true;
+        }
         Workload {
             benchmark,
-            model: TrueModel::new(benchmark, catalog),
+            model,
             params,
             catalog_len: catalog.len(),
             profile_ids,
+            read_mask,
         }
     }
 
@@ -112,7 +133,30 @@ impl Workload {
     /// Generates the ground truth of one run. Deterministic in
     /// `(benchmark, run_index, seed)`.
     pub fn generate_run(&self, run_index: u32, seed: u64) -> GeneratedRun {
-        self.generate_run_scaled(run_index, seed, 1.0)
+        self.generate_inner(
+            run_index,
+            seed,
+            &vec![1.0; self.catalog_len],
+            &vec![true; self.catalog_len],
+        )
+    }
+
+    /// Like [`Workload::generate_run`], but simulates only the events the
+    /// PMU measures (`events`) or the IPC model reads: every other
+    /// event's series stays empty. Its draws are still made, so every
+    /// filled series, the run length and the IPC are bit-identical to
+    /// [`Workload::generate_run`]'s.
+    pub(crate) fn generate_measured(
+        &self,
+        run_index: u32,
+        seed: u64,
+        events: &EventSet,
+    ) -> GeneratedRun {
+        let mut live = self.read_mask.clone();
+        for event in events {
+            live[event.index()] = true;
+        }
+        self.generate_inner(run_index, seed, &vec![1.0; self.catalog_len], &live)
     }
 
     /// Like [`Workload::generate_run`] but scaling every event's mean
@@ -132,7 +176,7 @@ impl Workload {
         for &(id, f) in scale {
             factors[id.index()] = f;
         }
-        self.generate_inner(run_index, seed, 1.0, &factors)
+        self.generate_inner(run_index, seed, &factors, &vec![true; self.catalog_len])
     }
 
     /// Generates an **anomalous** run: the same deterministic ground
@@ -151,33 +195,42 @@ impl Workload {
         self.generate_run_with_scales(run_index, seed, &scale)
     }
 
-    fn generate_run_scaled(&self, run_index: u32, seed: u64, length_scale: f64) -> GeneratedRun {
-        let factors = vec![1.0; self.catalog_len];
-        self.generate_inner(run_index, seed, length_scale, &factors)
-    }
-
+    /// One run with every event's mean scaled by `factors[event]`,
+    /// simulating the events `live` marks; the rest only advance the
+    /// generator (see [`ProcessState::skip`]).
     fn generate_inner(
         &self,
         run_index: u32,
         seed: u64,
-        length_scale: f64,
         factors: &[f64],
+        live: &[bool],
     ) -> GeneratedRun {
         let mut rng = Rng::new(
             seed ^ benchmark_salt(self.benchmark).wrapping_mul(0x517C_C1B7_2722_0A95)
                 ^ u64::from(run_index).wrapping_mul(0x2545_F491_4F6C_DD1D),
         );
         // OS nondeterminism: run length jitters ±6 %.
-        let base = (self.benchmark.base_intervals() as f64 * length_scale).round();
+        let base = self.benchmark.base_intervals() as f64;
         let n = (base * (1.0 + rng.range_f64(-0.06..0.06))).round().max(8.0) as usize;
 
-        let mut counts = vec![Vec::with_capacity(n); self.catalog_len];
-        let mut z = vec![Vec::with_capacity(n); self.catalog_len];
+        let series = |&live: &bool| {
+            if live {
+                Vec::with_capacity(n)
+            } else {
+                Vec::new()
+            }
+        };
+        let mut counts: Vec<Vec<f64>> = live.iter().map(series).collect();
+        let mut z: Vec<Vec<f64>> = live.iter().map(series).collect();
         let mut states: Vec<ProcessState> =
             self.params.iter().map(|&p| ProcessState::new(p)).collect();
 
         for t in 0..n {
             for (e, state) in states.iter_mut().enumerate() {
+                if !live[e] {
+                    state.skip(&mut rng);
+                    continue;
+                }
                 let (ze_raw, count_raw) = state.step(t, n, &mut rng);
                 // Mean scaling shifts activity: a 2x-scaled event runs at
                 // a persistently elevated normalized level.
@@ -188,9 +241,16 @@ impl Workload {
             }
         }
 
+        // The model reads only live events; a skipped event's slot keeps
+        // its unread 0.0.
+        let mut zt = vec![0.0; self.catalog_len];
         let ipc: Vec<f64> = (0..n)
             .map(|t| {
-                let zt: Vec<f64> = (0..self.catalog_len).map(|e| z[e][t]).collect();
+                for (slot, series) in zt.iter_mut().zip(&z) {
+                    if let Some(&v) = series.get(t) {
+                        *slot = v;
+                    }
+                }
                 self.model.ipc(&zt) * (1.0 + 0.01 * rng.range_f64(-1.0..1.0))
             })
             .collect();

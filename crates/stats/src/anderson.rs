@@ -58,17 +58,20 @@ pub fn a_squared<D: Distribution>(data: &[f64], dist: &D) -> Result<f64, StatsEr
             available: data.len(),
         });
     }
-    let mut x = data.to_vec();
-    x.sort_by(f64::total_cmp);
-    let n = x.len();
-    let nf = n as f64;
+    // The sorted sample becomes its CDF values in place, one evaluation
+    // per sample: the sum reads each value twice, once from each end.
+    let mut cdf = data.to_vec();
+    cdf.sort_by(f64::total_cmp);
     // Clamp CDF values away from {0, 1} so the logs stay finite when a
     // sample falls outside a fitted distribution's support.
     let eps = 1e-12;
+    for x in &mut cdf {
+        *x = dist.cdf(*x).clamp(eps, 1.0 - eps);
+    }
+    let n = cdf.len();
+    let nf = n as f64;
     let mut sum = 0.0;
-    for i in 0..n {
-        let fi = dist.cdf(x[i]).clamp(eps, 1.0 - eps);
-        let fni = dist.cdf(x[n - 1 - i]).clamp(eps, 1.0 - eps);
+    for (i, (&fi, &fni)) in cdf.iter().zip(cdf.iter().rev()).enumerate() {
         // (-fni).ln_1p() = ln(1 - fni), stable for fni near 1.
         sum += (2.0 * i as f64 + 1.0) * (fi.ln() + (-fni).ln_1p());
     }
@@ -253,6 +256,62 @@ mod tests {
         assert!(d_true < 0.08, "KS of true dist {d_true}");
         assert!(d_wrong > 3.0 * d_true);
         assert!(ks_statistic(&[], &truth).is_err());
+    }
+
+    /// The two-evaluation A² the one-pass sum replaced, kept as its
+    /// oracle.
+    fn a_squared_two_pass<D: Distribution>(data: &[f64], dist: &D) -> f64 {
+        let mut x = data.to_vec();
+        x.sort_by(f64::total_cmp);
+        let n = x.len();
+        let eps = 1e-12;
+        let mut sum = 0.0;
+        for i in 0..n {
+            let fi = dist.cdf(x[i]).clamp(eps, 1.0 - eps);
+            let fni = dist.cdf(x[n - 1 - i]).clamp(eps, 1.0 - eps);
+            sum += (2.0 * i as f64 + 1.0) * (fi.ln() + (-fni).ln_1p());
+        }
+        -(n as f64) - sum / n as f64
+    }
+
+    #[test]
+    fn one_pass_a_squared_matches_two_pass_oracle_bitwise() {
+        let gev = Gev::new(5.0, 2.0, 0.25).unwrap();
+        let gumbel = Gumbel::new(10.0, 2.0).unwrap();
+        let logistic = Logistic::new(0.0, 1.5).unwrap();
+        let normal = Normal::new(50.0, 4.0).unwrap();
+        for (seed, n) in [(1u64, 8usize), (2, 9), (3, 425), (4, 1000)] {
+            // Ties, a sample outside the GEV support (clamped CDF) and
+            // odd and even lengths.
+            let mut data = sample(&gev, n, seed);
+            data[0] = data[1];
+            data[n - 1] = -1e9;
+            let fitted = Normal::fit(&data).unwrap();
+            for bits in [
+                (
+                    a_squared(&data, &gev).unwrap(),
+                    a_squared_two_pass(&data, &gev),
+                ),
+                (
+                    a_squared(&data, &gumbel).unwrap(),
+                    a_squared_two_pass(&data, &gumbel),
+                ),
+                (
+                    a_squared(&data, &logistic).unwrap(),
+                    a_squared_two_pass(&data, &logistic),
+                ),
+                (
+                    a_squared(&data, &normal).unwrap(),
+                    a_squared_two_pass(&data, &normal),
+                ),
+                (
+                    a_squared(&data, &fitted).unwrap(),
+                    a_squared_two_pass(&data, &fitted),
+                ),
+            ] {
+                assert_eq!(bits.0.to_bits(), bits.1.to_bits(), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -164,25 +164,7 @@ pub fn impute_series(values: &mut [f64], missing: &[usize], k: usize) -> Result<
     if missing.is_empty() {
         return Ok(());
     }
-    if k == 0 {
-        return Err(StatsError::InvalidParameter("k must be at least 1"));
-    }
-    if missing.iter().any(|&i| i >= values.len()) {
-        return Err(StatsError::InvalidParameter("missing index out of range"));
-    }
-    let missing_set: std::collections::HashSet<usize> = missing.iter().copied().collect();
-    let mut xs = Vec::with_capacity(values.len() - missing_set.len());
-    let mut ys = Vec::with_capacity(xs.capacity());
-    for (i, &v) in values.iter().enumerate() {
-        if !missing_set.contains(&i) {
-            xs.push(i as f64);
-            ys.push(v);
-        }
-    }
-    if xs.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    let knn = KnnRegressor::fit(&xs, &ys, k.min(xs.len()))?;
+    let knn = fit_around(values, missing, k)?;
     for &i in missing {
         values[i] = knn.predict(i as f64);
     }
@@ -205,25 +187,7 @@ pub fn impute_series_with_variance(
     if missing.is_empty() {
         return Ok(Vec::new());
     }
-    if k == 0 {
-        return Err(StatsError::InvalidParameter("k must be at least 1"));
-    }
-    if missing.iter().any(|&i| i >= values.len()) {
-        return Err(StatsError::InvalidParameter("missing index out of range"));
-    }
-    let missing_set: std::collections::HashSet<usize> = missing.iter().copied().collect();
-    let mut xs = Vec::with_capacity(values.len() - missing_set.len());
-    let mut ys = Vec::with_capacity(xs.capacity());
-    for (i, &v) in values.iter().enumerate() {
-        if !missing_set.contains(&i) {
-            xs.push(i as f64);
-            ys.push(v);
-        }
-    }
-    if xs.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    let knn = KnnRegressor::fit(&xs, &ys, k.min(xs.len()))?;
+    let knn = fit_around(values, missing, k)?;
     let mut variances = Vec::with_capacity(missing.len());
     for &i in missing {
         let (mean, variance) = knn.predict_with_variance(i as f64);
@@ -231,6 +195,32 @@ pub fn impute_series_with_variance(
         variances.push(variance);
     }
     Ok(variances)
+}
+
+/// The regressor both imputation entry points fill from: sample index
+/// against value over every position `missing` does not name, with `k`
+/// clamped to the number of such positions.
+fn fit_around(values: &[f64], missing: &[usize], k: usize) -> Result<KnnRegressor, StatsError> {
+    if k == 0 {
+        return Err(StatsError::InvalidParameter("k must be at least 1"));
+    }
+    let mut is_missing = vec![false; values.len()];
+    for &i in missing {
+        *is_missing
+            .get_mut(i)
+            .ok_or(StatsError::InvalidParameter("missing index out of range"))? = true;
+    }
+    let (xs, ys): (Vec<f64>, Vec<f64>) = values
+        .iter()
+        .zip(&is_missing)
+        .enumerate()
+        .filter(|(_, (_, &gap))| !gap)
+        .map(|(i, (&v, _))| (i as f64, v))
+        .unzip();
+    if xs.is_empty() {
+        return Err(StatsError::EmptyInput);
+    }
+    KnnRegressor::fit(&xs, &ys, k.min(xs.len()))
 }
 
 #[cfg(test)]
