@@ -6,8 +6,15 @@
 //! strongly the pair interacts — a linear model captures two
 //! non-interacting events perfectly, so residuals indicate interaction.
 //! Intensities are normalized across pairs (Eq. 13).
+//!
+//! Every swept surface is the MAPM with all but one or two columns
+//! pinned at the mean row. It is computed at *cell* cost: the model is
+//! folded at the mean row ([`Sgbrt::fold`]), each row's swept values map
+//! to the folded forest's cells, and each distinct cell is predicted
+//! once. Rows in one cell reach the same leaves, so the surface is
+//! bit-identical to predicting one full probe row per dataset row.
 
-use crate::CmError;
+use crate::{CmError, EirResult};
 use cm_events::EventId;
 use cm_ml::{Dataset, Sgbrt};
 use cm_stats::regression::MultipleLinear;
@@ -76,27 +83,13 @@ impl InteractionRanker {
         // out across the pool. `try_map` keeps pair order and surfaces
         // the lowest-indexed error, like the serial loop did.
         let pairs = index_pairs(top_events.len());
-        record_sweep(pairs.len(), pairs.len() * data.n_rows());
-        let intensities = cm_par::try_map(&pairs, |&(i, j)| {
+        let swept = cm_par::try_map(&pairs, |&(i, j)| {
             pair_intensity(model, data, &means, cols[i], cols[j])
         })?;
-        let mut out: Vec<PairInteraction> = pairs
-            .iter()
-            .zip(intensities)
-            .map(|(&(i, j), intensity)| PairInteraction {
-                pair: (top_events[i], top_events[j]),
-                intensity,
-                share: 0.0,
-            })
-            .collect();
-        let total: f64 = out.iter().map(|p| p.intensity).sum();
-        if total > 0.0 {
-            for p in &mut out {
-                p.share = p.intensity / total * 100.0;
-            }
-        }
-        out.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
-        Ok(out)
+        let cells = swept.iter().map(|&(_, cells)| cells).sum();
+        record_sweep(pairs.len(), pairs.len() * data.n_rows(), cells);
+        let intensities = swept.into_iter().map(|(v, _)| v);
+        Ok(ranked(top_events, &pairs, intensities))
     }
 
     /// Ranks pairs by **additivity-corrected** interaction intensity:
@@ -140,56 +133,61 @@ impl InteractionRanker {
         let means = column_means(data);
         let f0 = model.predict(&means);
 
-        // Univariate partial responses, shared across pairs. Each event's
-        // sweep packs its probes into one flat buffer and predicts them
-        // as a single batch over the flattened ensemble.
-        let nf = means.len();
-        let partials: Vec<Vec<f64>> = cm_par::map(&cols, |&c| {
-            let mut probes = Vec::with_capacity(data.n_rows() * nf);
-            for row in data.rows() {
-                let start = probes.len();
-                probes.extend_from_slice(&means);
-                probes[start + c] = row[c];
-            }
-            model.predict_batch_flat(&probes)
-        });
+        // Univariate partial responses, shared across pairs.
+        let partials: Vec<(Vec<f64>, usize)> =
+            cm_par::map(&cols, |&c| cell_sweep(model, &means, data, &[c]));
 
         // The O(P²) cross-difference loop, fanned out per pair. Summation
-        // order within a pair is unchanged, so intensities are
+        // runs in row order within a pair, so intensities are
         // bit-identical to the serial loop at any thread count.
         let pairs = index_pairs(top_events.len());
-        // Probe rows: one row of probes per dataset row, for each
-        // univariate partial and each pair surface.
-        record_sweep(pairs.len(), (cols.len() + pairs.len()) * data.n_rows());
-        let mut out: Vec<PairInteraction> = cm_par::map(&pairs, |&(i, j)| {
-            let (ca, cb) = (cols[i], cols[j]);
-            let mut probes = Vec::with_capacity(data.n_rows() * nf);
-            for row in data.rows() {
-                let start = probes.len();
-                probes.extend_from_slice(&means);
-                probes[start + ca] = row[ca];
-                probes[start + cb] = row[cb];
-            }
-            let f_ab = model.predict_batch_flat(&probes);
+        let swept: Vec<(f64, usize)> = cm_par::map(&pairs, |&(i, j)| {
+            let (f_ab, cells) = cell_sweep(model, &means, data, &[cols[i], cols[j]]);
+            let (f_a, f_b) = (&partials[i].0, &partials[j].0);
             let mut v = 0.0;
             for r in 0..data.n_rows() {
-                let cross = f_ab[r] - partials[i][r] - partials[j][r] + f0;
+                let cross = f_ab[r] - f_a[r] - f_b[r] + f0;
                 v += cross * cross;
             }
-            PairInteraction {
-                pair: (top_events[i], top_events[j]),
-                intensity: v,
-                share: 0.0,
-            }
+            (v, cells)
         });
-        let total: f64 = out.iter().map(|p| p.intensity).sum();
-        if total > 0.0 {
-            for p in &mut out {
-                p.share = p.intensity / total * 100.0;
-            }
-        }
-        out.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
-        Ok(out)
+        // Probe rows: one per dataset row for each univariate partial and
+        // each pair surface — what a row-by-row sweep would predict.
+        let cells = partials.iter().map(|(_, c)| c).sum::<usize>()
+            + swept.iter().map(|&(_, c)| c).sum::<usize>();
+        record_sweep(
+            pairs.len(),
+            (cols.len() + pairs.len()) * data.n_rows(),
+            cells,
+        );
+        let intensities = swept.into_iter().map(|(v, _)| v);
+        Ok(ranked(top_events, &pairs, intensities))
+    }
+
+    /// [`InteractionRanker::rank_pairs_additive`] over an EIR result's
+    /// `top_k` events and its MAPM, whose columns are selected from
+    /// `data` (columns `events`, the dataset EIR ranked).
+    ///
+    /// # Errors
+    ///
+    /// Propagates column-selection and ranking failures.
+    pub fn rank_top_additive(
+        &self,
+        eir: &EirResult,
+        events: &[EventId],
+        data: &Dataset,
+        top_k: usize,
+    ) -> Result<Vec<PairInteraction>, CmError> {
+        let top: Vec<EventId> = eir.top(top_k).iter().map(|&(e, _)| e).collect();
+        let position = |e: &EventId| {
+            events
+                .iter()
+                .position(|x| x == e)
+                .expect("every MAPM event is a ranked column")
+        };
+        let mapm_data =
+            data.select_features(&eir.mapm_events.iter().map(position).collect::<Vec<_>>())?;
+        self.rank_pairs_additive(&eir.mapm, &eir.mapm_events, &mapm_data, &top)
     }
 
     /// Interaction intensity between two raw observable series and a
@@ -216,12 +214,80 @@ impl InteractionRanker {
 }
 
 /// One observability record per interaction sweep: how many pairs were
-/// ranked and how many probe rows the MAPM predicted for them.
-fn record_sweep(pairs: usize, probe_rows: usize) {
+/// ranked, how many probe rows a row-by-row sweep would predict for them,
+/// and how many distinct forest cells were actually predicted.
+fn record_sweep(pairs: usize, probe_rows: usize, cells: usize) {
     if cm_obs::enabled() {
         cm_obs::counter_add("interaction.pairs", pairs as u64);
         cm_obs::counter_add("interaction.probe_rows", probe_rows as u64);
+        cm_obs::counter_add("interaction.cells", cells as u64);
     }
+}
+
+/// Builds the ranked output: one [`PairInteraction`] per index pair, its
+/// Eq. 13 share of the total, sorted by descending intensity.
+fn ranked(
+    top_events: &[EventId],
+    pairs: &[(usize, usize)],
+    intensities: impl Iterator<Item = f64>,
+) -> Vec<PairInteraction> {
+    let mut out: Vec<PairInteraction> = pairs
+        .iter()
+        .zip(intensities)
+        .map(|(&(i, j), intensity)| PairInteraction {
+            pair: (top_events[i], top_events[j]),
+            intensity,
+            share: 0.0,
+        })
+        .collect();
+    let total: f64 = out.iter().map(|p| p.intensity).sum();
+    if total > 0.0 {
+        for p in &mut out {
+            p.share = p.intensity / total * 100.0;
+        }
+    }
+    out.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
+    out
+}
+
+/// The MAPM surface over the swept columns `cols`, every other column
+/// pinned at `means`: one prediction per dataset row, in row order, and
+/// the number of distinct cells predicted to produce them.
+///
+/// The model is folded at `means` with `cols` free. Each row's key is its
+/// mixed-radix cell tuple; sorting `(key, row)` groups equal keys in
+/// O(rows) memory, one representative row per key is predicted through
+/// the folded forest, and the result is scattered back to every row of
+/// its cell.
+fn cell_sweep(model: &Sgbrt, means: &[f64], data: &Dataset, cols: &[usize]) -> (Vec<f64>, usize) {
+    let folded = model.fold(means, cols);
+    let mut keyed: Vec<(u64, u32)> = data
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(r, row)| {
+            let key = cols.iter().enumerate().fold(0u64, |key, (k, &c)| {
+                let radix = folded.thresholds(k).len() as u64 + 1;
+                key * radix + folded.cell(k, row[c]) as u64
+            });
+            (key, r as u32)
+        })
+        .collect();
+    keyed.sort_unstable();
+    let mut probes = Vec::new();
+    let mut cell_of_row = vec![0u32; keyed.len()];
+    let mut cells = 0u32;
+    for (g, &(key, r)) in keyed.iter().enumerate() {
+        if g == 0 || keyed[g - 1].0 != key {
+            let row = data.row(r as usize);
+            probes.extend(cols.iter().map(|&c| row[c]));
+            cells += 1;
+        }
+        cell_of_row[r as usize] = cells - 1;
+    }
+    let predicted = folded.predict_packed(&probes);
+    let surface = cell_of_row.iter().map(|&i| predicted[i as usize]).collect();
+    (surface, cells as usize)
 }
 
 /// Per-column means of a dataset — the "mean row" both rankers pin
@@ -269,31 +335,22 @@ fn index_pairs(len: usize) -> Vec<(usize, usize)> {
     pairs
 }
 
+/// Eq. 12 for one pair: the residual sum of squares of a linear fit to
+/// the pair's swept surface, and the cells the sweep predicted.
 fn pair_intensity(
     model: &Sgbrt,
     data: &Dataset,
     means: &[f64],
     ca: usize,
     cb: usize,
-) -> Result<f64, CmError> {
-    // Sweep the pair over its observed joint values, others at means.
-    // Probes are packed into one flat buffer — no per-row Vec — and
-    // predicted in a single batch over the flattened ensemble.
-    let nf = means.len();
-    let mut probes = Vec::with_capacity(data.n_rows() * nf);
-    let mut pair_rows = Vec::with_capacity(data.n_rows());
-    for row in data.rows() {
-        let start = probes.len();
-        probes.extend_from_slice(means);
-        probes[start + ca] = row[ca];
-        probes[start + cb] = row[cb];
-        pair_rows.push(vec![row[ca], row[cb]]);
-    }
-    let surface = model.predict_batch_flat(&probes);
+) -> Result<(f64, usize), CmError> {
+    let (surface, cells) = cell_sweep(model, means, data, &[ca, cb]);
+    let pair_rows: Vec<Vec<f64>> = data.rows().iter().map(|r| vec![r[ca], r[cb]]).collect();
     let linear = MultipleLinear::fit(&pair_rows, &surface).map_err(CmError::Stats)?;
-    linear
+    let rss = linear
         .residual_sum_of_squares(&pair_rows, &surface)
-        .map_err(CmError::Stats)
+        .map_err(CmError::Stats)?;
+    Ok((rss, cells))
 }
 
 #[cfg(test)]
@@ -454,6 +511,195 @@ mod tests {
         let parallel_add = ranker.rank_pairs_additive(&model, &ev, &data, &ev).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(serial_add, parallel_add);
+    }
+
+    /// The row-by-row sweep the cell sweep replaced, kept as its oracle:
+    /// one full probe row per dataset row, pinned at the mean row,
+    /// predicted through the whole forest.
+    fn row_sweep(model: &Sgbrt, means: &[f64], data: &Dataset, cols: &[usize]) -> Vec<f64> {
+        let mut probes = Vec::with_capacity(data.n_rows() * means.len());
+        for row in data.rows() {
+            let start = probes.len();
+            probes.extend_from_slice(means);
+            for &c in cols {
+                probes[start + c] = row[c];
+            }
+        }
+        model.predict_batch_flat(&probes)
+    }
+
+    /// `rank_pairs_additive` as it was before cell sweeps, serial.
+    fn rank_pairs_additive_rowwise(
+        model: &Sgbrt,
+        model_events: &[EventId],
+        data: &Dataset,
+        top_events: &[EventId],
+    ) -> Vec<PairInteraction> {
+        let cols = resolve_columns(model_events, top_events).unwrap();
+        let means = column_means(data);
+        let f0 = model.predict(&means);
+        let partials: Vec<Vec<f64>> = cols
+            .iter()
+            .map(|&c| row_sweep(model, &means, data, &[c]))
+            .collect();
+        let mut out = Vec::new();
+        for (i, j) in index_pairs(top_events.len()) {
+            let f_ab = row_sweep(model, &means, data, &[cols[i], cols[j]]);
+            let mut v = 0.0;
+            for r in 0..data.n_rows() {
+                let cross = f_ab[r] - partials[i][r] - partials[j][r] + f0;
+                v += cross * cross;
+            }
+            out.push(PairInteraction {
+                pair: (top_events[i], top_events[j]),
+                intensity: v,
+                share: 0.0,
+            });
+        }
+        let total: f64 = out.iter().map(|p| p.intensity).sum();
+        if total > 0.0 {
+            for p in &mut out {
+                p.share = p.intensity / total * 100.0;
+            }
+        }
+        out.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
+        out
+    }
+
+    fn bits(ranked: &[PairInteraction]) -> Vec<((usize, usize), u64, u64)> {
+        ranked
+            .iter()
+            .map(|p| {
+                let pair = (p.pair.0.index(), p.pair.1.index());
+                (pair, p.intensity.to_bits(), p.share.to_bits())
+            })
+            .collect()
+    }
+
+    /// Seeded sweep cases the cell sweep must match bit for bit: NaN and
+    /// signed-zero features, values exactly on a split threshold, a
+    /// column no tree splits on (column 4 is constant in training),
+    /// repeated rows, `top_k = 2`, a single-tree forest and the exact
+    /// trainer.
+    #[test]
+    fn cell_sweep_matches_the_row_sweep_oracle() {
+        use cm_ml::Trainer;
+        let nf = 5;
+        let ev = events(nf);
+        for seed in 0..4u64 {
+            let mut rng = Rng::new(100 + seed);
+            let mut rows: Vec<Vec<f64>> = (0..160)
+                .map(|_| {
+                    let mut r: Vec<f64> = (0..nf).map(|_| rng.range_f64(-1.0..1.0)).collect();
+                    r[4] = 0.25;
+                    if rng.next_f64() < 0.15 {
+                        r[2] = f64::NAN;
+                    }
+                    if rng.next_f64() < 0.1 {
+                        r[1] = if rng.next_f64() < 0.5 { 0.0 } else { -0.0 };
+                    }
+                    r
+                })
+                .collect();
+            rows.extend(rows[..30].to_vec());
+            let y: Vec<f64> = rows
+                .iter()
+                .map(|r| r[0] * r[1] + r[3] - if r[2].is_nan() { 1.0 } else { r[2] * r[3] })
+                .collect();
+            let train = Dataset::new(rows.clone(), y.clone()).unwrap();
+            let configs = [
+                SgbrtConfig {
+                    n_trees: 40,
+                    ..SgbrtConfig::default()
+                },
+                SgbrtConfig {
+                    n_trees: 1,
+                    ..SgbrtConfig::default()
+                },
+                SgbrtConfig {
+                    n_trees: 25,
+                    trainer: Trainer::Exact,
+                    ..SgbrtConfig::default()
+                },
+            ];
+            for config in configs {
+                let model = config.with_seed(seed).fit(&train).unwrap();
+                // Sweep rows sitting exactly on every split threshold,
+                // plus NaN and signed zeros in every column.
+                let all: Vec<usize> = (0..nf).collect();
+                let unfolded = model.fold(&rows[0], &all);
+                let mut sweep_rows = rows.clone();
+                for (i, row) in sweep_rows.iter_mut().enumerate().step_by(3) {
+                    let c = i % nf;
+                    let t = unfolded.thresholds(c);
+                    row[c] = match (i / 3) % 4 {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        _ if t.is_empty() => 0.0,
+                        _ => t[i % t.len()],
+                    };
+                }
+                let sweep = Dataset::new(sweep_rows, y.clone()).unwrap();
+                let means = column_means(&sweep);
+                for cols in [vec![0usize], vec![2], vec![4], vec![1, 0], vec![2, 4]] {
+                    let (cells, n_cells) = cell_sweep(&model, &means, &sweep, &cols);
+                    let rows = row_sweep(&model, &means, &sweep, &cols);
+                    assert!(n_cells <= sweep.n_rows());
+                    let cell_bits: Vec<u64> = cells.iter().map(|v| v.to_bits()).collect();
+                    let row_bits: Vec<u64> = rows.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(cell_bits, row_bits, "seed {seed} cols {cols:?}");
+                }
+                for top in [ev.clone(), vec![ev[3], ev[1]]] {
+                    let got = InteractionRanker::new()
+                        .rank_pairs_additive(&model, &ev, &sweep, &top)
+                        .unwrap();
+                    let want = rank_pairs_additive_rowwise(&model, &ev, &sweep, &top);
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} top {top:?}");
+                }
+            }
+        }
+    }
+
+    /// Pins the pipeline's interaction rankings over all 16 benchmarks:
+    /// an FNV digest of every ranked pair's events and the bits of its
+    /// intensity and share, under a config small enough for a debug
+    /// build.
+    #[test]
+    fn additive_ranking_matches_golden_digest() {
+        use crate::{CounterMiner, ImportanceConfig, MinerConfig};
+        let config = MinerConfig {
+            runs_per_benchmark: 1,
+            events_to_measure: Some(20),
+            importance: ImportanceConfig {
+                sgbrt: SgbrtConfig {
+                    n_trees: 30,
+                    ..SgbrtConfig::default()
+                },
+                prune_step: 4,
+                min_events: 12,
+                seed: 5,
+                ..ImportanceConfig::default()
+            },
+            interaction_top_k: 6,
+            seed: 5,
+            ..MinerConfig::default()
+        };
+        let miner = CounterMiner::new(config);
+        let mut digest = cm_par::rng::FNV1A_OFFSET;
+        for benchmark in cm_sim::ALL_BENCHMARKS {
+            let report = miner.analyze(benchmark).unwrap();
+            for p in &report.interactions {
+                for word in [
+                    p.pair.0.index() as u64,
+                    p.pair.1.index() as u64,
+                    p.intensity.to_bits(),
+                    p.share.to_bits(),
+                ] {
+                    digest = cm_par::rng::fnv1a_extend(digest, &word.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(digest, 0x370e_4010_1cb9_fc72, "{digest:#018x}");
     }
 
     #[test]

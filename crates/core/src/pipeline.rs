@@ -501,27 +501,15 @@ impl CounterMiner {
             ranker.rank_with_uncertainty(&data, events, column_uncertainty.as_deref())?
         };
 
-        let _s = cm_obs::span!("interactions");
-        let top: Vec<EventId> = eir
-            .top(self.config.interaction_top_k)
-            .iter()
-            .map(|&(e, _)| e)
-            .collect();
-        // The interaction surface comes from the MAPM, which was trained
-        // on the pruned column set.
-        let mapm_cols: Vec<usize> = eir
-            .mapm_events
-            .iter()
-            .map(|e| events.iter().position(|x| x == e).expect("mapm event"))
-            .collect();
-        let mapm_data = data.select_features(&mapm_cols)?;
-        let interactions = InteractionRanker::new().rank_pairs_additive(
-            &eir.mapm,
-            &eir.mapm_events,
-            &mapm_data,
-            &top,
-        )?;
-        drop(_s);
+        let interactions = {
+            let _s = cm_obs::span!("interactions");
+            InteractionRanker::new().rank_top_additive(
+                &eir,
+                events,
+                &data,
+                self.config.interaction_top_k,
+            )?
+        };
 
         Ok(AnalysisReport {
             benchmark,

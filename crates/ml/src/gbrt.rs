@@ -438,10 +438,11 @@ impl Sgbrt {
     }
 
     /// Predicts a batch packed as one contiguous row-major buffer of
-    /// `k · n_features` values — the allocation-free entry point for
-    /// dense sweeps (the interaction ranker writes candidate rows into
-    /// one reusable buffer instead of a `Vec<f64>` per row).
-    /// Bit-identical to calling [`Sgbrt::predict`] on each row slice.
+    /// `k · n_features` values — the entry point for dense sweeps that
+    /// write candidate rows into one buffer instead of a `Vec<f64>` per
+    /// row. Bit-identical to calling [`Sgbrt::predict`] on each row
+    /// slice. A sweep that varies only a few columns of one pinned row
+    /// does less work through [`Sgbrt::fold`].
     ///
     /// # Panics
     ///
@@ -463,6 +464,53 @@ impl Sgbrt {
             }
             out
         })
+    }
+
+    /// Folds the ensemble at the row `pinned`, keeping only the splits on
+    /// the `free` columns (renumbered `0..free.len()`, in tree order).
+    ///
+    /// [`FoldedForest::predict_packed`] on a row `v` of `free.len()`
+    /// values is bit-identical to [`Sgbrt::predict`] on `pinned` with
+    /// `v[k]` written at column `free[k]`: both walks reach the same
+    /// leaves and sum them in the same order. Sweeping a few columns
+    /// over many rows with everything else held fixed (the interaction
+    /// ranker's partial-dependence surfaces) then walks only the splits
+    /// those columns can change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pinned.len()` differs from the training width, `free`
+    /// is empty, or a free column is out of range or repeated.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cm_ml::{Dataset, SgbrtConfig};
+    ///
+    /// let rows: Vec<Vec<f64>> = (0..60)
+    ///     .map(|i| vec![(i % 6) as f64, (i % 5) as f64, (i % 4) as f64])
+    ///     .collect();
+    /// let y: Vec<f64> = rows.iter().map(|r| r[0] * r[1] + r[2]).collect();
+    /// let model = SgbrtConfig::default().fit(&Dataset::new(rows, y)?)?;
+    /// let pinned = [2.5, 2.0, 1.5];
+    /// let folded = model.fold(&pinned, &[1]);
+    /// assert_eq!(folded.predict_packed(&[4.0]), vec![model.predict(&[2.5, 4.0, 1.5])]);
+    /// # Ok::<(), cm_ml::MlError>(())
+    /// ```
+    pub fn fold(&self, pinned: &[f64], free: &[usize]) -> FoldedForest {
+        assert_eq!(
+            pinned.len(),
+            self.n_features,
+            "pinned row length does not match the fitted ensemble"
+        );
+        assert!(!free.is_empty(), "a fold needs at least one free column");
+        let (flat, thresholds) = self.flat.fold(pinned, free);
+        FoldedForest {
+            base: self.base,
+            learning_rate: self.learning_rate,
+            flat,
+            thresholds,
+        }
     }
 
     /// Number of boosting stages.
@@ -493,6 +541,66 @@ impl Sgbrt {
             }
         }
         acc
+    }
+}
+
+/// An [`Sgbrt`] folded at a pinned row by [`Sgbrt::fold`]: a forest over
+/// the free columns alone.
+///
+/// Each free column's split thresholds cut its values into *cells*
+/// ([`FoldedForest::cell`]); two rows whose free values share every
+/// cell reach the same leaves, so they predict the same bits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldedForest {
+    base: f64,
+    learning_rate: f64,
+    flat: FlatForest,
+    /// Per free column: sorted, deduplicated, non-NaN split thresholds.
+    thresholds: Vec<Vec<f64>>,
+}
+
+impl FoldedForest {
+    /// Number of free columns (the packed row width).
+    pub fn n_free(&self) -> usize {
+        self.thresholds.len()
+    }
+
+    /// The sorted, deduplicated, non-NaN thresholds of the splits on
+    /// free column `k` that survive the fold.
+    pub fn thresholds(&self, k: usize) -> &[f64] {
+        &self.thresholds[k]
+    }
+
+    /// The cell of value `x` on free column `k`: the number of
+    /// thresholds `t` with `x > t`, in `0..=thresholds(k).len()`. Every
+    /// split takes the right branch exactly when `x > t`, so values in
+    /// one cell go the same way at every split; NaN lands in cell 0
+    /// with the values that go left everywhere.
+    pub fn cell(&self, k: usize, x: f64) -> usize {
+        self.thresholds[k].partition_point(|&t| x > t)
+    }
+
+    /// Predicts rows packed row-major, [`FoldedForest::n_free`] values
+    /// each, on the calling thread. Bit-identical to [`Sgbrt::predict`]
+    /// on the pinned row with each packed row written into its free
+    /// columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of the free-column count.
+    pub fn predict_packed(&self, rows: &[f64]) -> Vec<f64> {
+        let width = self.n_free();
+        assert_eq!(
+            rows.len() % width,
+            0,
+            "packed buffer length must be a multiple of the free-column count"
+        );
+        let mut out = vec![0.0; rows.len() / width];
+        self.flat.predict_packed_into(rows, width, &mut out);
+        for v in &mut out {
+            *v = self.base + self.learning_rate * *v;
+        }
+        out
     }
 }
 
@@ -915,6 +1023,121 @@ mod tests {
         }
         cm_par::set_max_threads(0);
         assert_eq!(digests, [0x7c59_a4b5_7c53_ee99; 2], "{digests:#x?}");
+    }
+
+    /// `friedman_like` rows with NaN written into about one value in
+    /// six (every column, feature 1 most often).
+    fn with_nans(data: &Dataset, seed: u64) -> Dataset {
+        let mut rng = Rng::new(seed);
+        let rows: Vec<Vec<f64>> = data
+            .rows()
+            .iter()
+            .map(|r| {
+                r.iter()
+                    .enumerate()
+                    .map(|(f, &v)| {
+                        let p = if f == 1 { 0.4 } else { 0.1 };
+                        if rng.next_f64() < p {
+                            f64::NAN
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Dataset::new(rows, data.targets().to_vec()).unwrap()
+    }
+
+    /// NaN features route left in every predictor, so the fitted model
+    /// is exactly `base + learning_rate · Σ tree.predict` — the sum the
+    /// exact trainer's residual updates subtract — on NaN-bearing rows.
+    #[test]
+    fn nan_rows_predict_like_summed_tree_walks() {
+        let data = with_nans(&friedman_like(200, 51), 52);
+        for trainer in [Trainer::Exact, Trainer::Hist] {
+            let model = SgbrtConfig {
+                n_trees: 25,
+                trainer,
+                ..SgbrtConfig::default()
+            }
+            .fit(&data)
+            .unwrap();
+            let mut probes = data.rows().to_vec();
+            probes.push(vec![f64::NAN; 4]);
+            for row in &probes {
+                assert!(model.predict(row).is_finite(), "{trainer:?} {row:?}");
+                let walked: f64 = model.trees.iter().map(|t| t.predict(row)).sum();
+                let expected = model.base + model.learning_rate * walked;
+                assert_eq!(
+                    model.predict(row).to_bits(),
+                    expected.to_bits(),
+                    "{trainer:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_predict_on_the_overwritten_pinned_row() {
+        let data = with_nans(&friedman_like(160, 61), 62);
+        let model = SgbrtConfig {
+            n_trees: 30,
+            ..SgbrtConfig::default()
+        }
+        .fit(&data)
+        .unwrap();
+        let mut rng = Rng::new(63);
+        for free in [vec![0usize], vec![1], vec![3, 0], vec![1, 2]] {
+            let pinned: Vec<f64> = (0..4).map(|_| rng.range_f64(0.0..3.0)).collect();
+            let folded = model.fold(&pinned, &free);
+            assert_eq!(folded.n_free(), free.len());
+            // Probe values: every threshold exactly, NaN, signed zeros,
+            // and the dataset's own values.
+            let values: Vec<Vec<f64>> = (0..free.len())
+                .map(|k| {
+                    let mut v = folded.thresholds(k).to_vec();
+                    v.extend([f64::NAN, 0.0, -0.0, 1.5]);
+                    v.extend(data.rows().iter().map(|r| r[free[k]]));
+                    v
+                })
+                .collect();
+            for (k, t) in values.iter().enumerate() {
+                let ts = folded.thresholds(k);
+                assert!(ts.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
+                assert_eq!(folded.cell(k, f64::NAN), 0);
+                assert_eq!(folded.cell(k, ts.first().copied().unwrap_or(0.0)), 0);
+                assert!(t.iter().all(|&x| folded.cell(k, x) <= ts.len()));
+            }
+            for i in 0..values[0].len() {
+                let v: Vec<f64> = (0..free.len())
+                    .map(|k| values[k][(i * (k + 1)) % values[k].len()])
+                    .collect();
+                let mut row = pinned.clone();
+                for (k, &c) in free.iter().enumerate() {
+                    row[c] = v[k];
+                }
+                let got = folded.predict_packed(&v);
+                assert_eq!(
+                    got[0].to_bits(),
+                    model.predict(&row).to_bits(),
+                    "{free:?} {v:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "free columns must be distinct")]
+    fn fold_rejects_repeated_free_columns() {
+        let data = friedman_like(50, 71);
+        let model = SgbrtConfig {
+            n_trees: 3,
+            ..SgbrtConfig::default()
+        }
+        .fit(&data)
+        .unwrap();
+        model.fold(&[0.0; 4], &[2, 2]);
     }
 
     #[test]

@@ -528,6 +528,52 @@ mod tests {
         }
     }
 
+    /// NaN takes bin code 0 and goes left at every split, in the router
+    /// and in the raw tree alike — including splits on a NaN cut.
+    #[test]
+    fn router_matches_raw_tree_on_nan_training_rows() {
+        let rows: Vec<Vec<f64>> = (0..90)
+            .map(|i| {
+                let x = if i % 4 == 0 {
+                    f64::NAN
+                } else {
+                    (i % 30) as f64
+                };
+                let z = if i % 7 == 0 {
+                    f64::NAN
+                } else {
+                    -((i % 9) as f64)
+                };
+                vec![x, z]
+            })
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| if r[0].is_nan() { 5.0 } else { r[0] } + (i % 3) as f64)
+            .collect();
+        let data = Dataset::new(rows, y).unwrap();
+        let binned = BinnedDataset::from_dataset(&data, 256);
+        let view = binned.view();
+        let indices: Vec<usize> = (0..data.n_rows()).collect();
+        let fit = fit_hist_tree(
+            &view,
+            data.targets(),
+            &indices,
+            TreeConfig {
+                max_depth: 5,
+                ..TreeConfig::default()
+            },
+            &mut HistArena::default(),
+        )
+        .unwrap();
+        assert!(fit.tree.split_count() >= 3);
+        for (i, row) in data.rows().iter().enumerate() {
+            let routed = fit.route(&view, i);
+            assert_eq!(routed.to_bits(), fit.tree.predict(row).to_bits(), "row {i}");
+        }
+    }
+
     #[test]
     fn respects_leaf_and_depth_constraints() {
         let data = step_data(8);

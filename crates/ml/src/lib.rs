@@ -44,5 +44,5 @@ mod tree;
 pub use binning::{BinnedDataset, BinnedView, MAX_BINS};
 pub use dataset::Dataset;
 pub use error::MlError;
-pub use gbrt::{cross_validate, Sgbrt, SgbrtConfig, Trainer};
+pub use gbrt::{cross_validate, FoldedForest, Sgbrt, SgbrtConfig, Trainer};
 pub use tree::{RegressionTree, TreeConfig};

@@ -185,7 +185,9 @@ impl RegressionTree {
         self.nodes.len() - 1
     }
 
-    /// Predicts the target for one feature row.
+    /// Predicts the target for one feature row. A split sends `x` right
+    /// when `x > threshold` and left otherwise, so a NaN feature value
+    /// always goes left.
     ///
     /// # Panics
     ///
@@ -207,10 +209,12 @@ impl RegressionTree {
                     right,
                     ..
                 } => {
-                    node = if row[*feature] <= *threshold {
-                        *left
-                    } else {
+                    // `x > t` goes right, anything else — NaN included —
+                    // left: the rule `FlatForest` and bin code 0 follow.
+                    node = if row[*feature] > *threshold {
                         *right
+                    } else {
+                        *left
                     };
                 }
             }
@@ -273,9 +277,11 @@ const ROW_BLOCK: usize = 16;
 /// in the hot loop is a single arithmetic select. Batch prediction
 /// ([`FlatForest::predict_rows_into`]) additionally blocks rows so the
 /// whole forest streams through cache once per [`ROW_BLOCK`] rows
-/// instead of once per row. Prediction accumulates leaf values in tree
+/// instead of once per row. Every walk takes a split's right child on
+/// `x > threshold` and its left child otherwise (NaN goes left), as
+/// [`RegressionTree::predict`] does, and accumulates leaf values in tree
 /// order, so results are bit-identical to summing
-/// [`RegressionTree::predict`] over the same trees.
+/// [`RegressionTree::predict`] over the same trees, NaN rows included.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FlatForest {
     nodes: Vec<FlatNode>,
@@ -294,15 +300,7 @@ impl FlatForest {
         let mut queue: std::collections::VecDeque<(usize, usize)> =
             std::collections::VecDeque::new();
         for tree in trees {
-            let alloc = |flat: &mut FlatForest| -> usize {
-                flat.nodes.push(FlatNode {
-                    feat: 0,
-                    left: 0,
-                    x: 0.0,
-                });
-                flat.nodes.len() - 1
-            };
-            let root = alloc(&mut flat);
+            let root = flat.alloc();
             flat.roots.push(root as u32);
             queue.clear();
             queue.push_back((tree.root(), root));
@@ -318,8 +316,8 @@ impl FlatForest {
                     } => {
                         // Children take adjacent slots so the traversal
                         // can select `left + went_right`.
-                        let l = alloc(&mut flat);
-                        let _r = alloc(&mut flat);
+                        let l = flat.alloc();
+                        let _r = flat.alloc();
                         flat.nodes[slot] = FlatNode {
                             feat: *feature as u32 + 1,
                             left: l as u32,
@@ -332,6 +330,79 @@ impl FlatForest {
             }
         }
         flat
+    }
+
+    /// Appends a placeholder node, returning its slot.
+    fn alloc(&mut self) -> usize {
+        self.nodes.push(FlatNode {
+            feat: 0,
+            left: 0,
+            x: 0.0,
+        });
+        self.nodes.len() - 1
+    }
+
+    /// Folds every tree at a pinned row. A split on a column outside
+    /// `free` is resolved by following `pinned`'s branch under the same
+    /// `x > threshold` rule the walks use; a split on `free[k]` is kept
+    /// and renumbered to column `k`. Tree order is preserved, so walking
+    /// the folded forest with row `v` reaches the leaves the original
+    /// reaches with `pinned` overwritten by `v` on the free columns, and
+    /// sums them in the same order.
+    ///
+    /// Also returns, per free column, the sorted, deduplicated, non-NaN
+    /// thresholds of the kept splits (a NaN threshold sends nothing
+    /// right, so it never separates two values).
+    pub(crate) fn fold(&self, pinned: &[f64], free: &[usize]) -> (FlatForest, Vec<Vec<f64>>) {
+        let mut renumbered = vec![u32::MAX; pinned.len()];
+        for (k, &c) in free.iter().enumerate() {
+            assert_eq!(renumbered[c], u32::MAX, "free columns must be distinct");
+            renumbered[c] = k as u32;
+        }
+        let mut out = FlatForest {
+            nodes: Vec::new(),
+            roots: Vec::with_capacity(self.roots.len()),
+        };
+        let mut thresholds = vec![Vec::new(); free.len()];
+        let mut pending: Vec<(usize, usize)> = Vec::new();
+        for &root in &self.roots {
+            let slot = out.alloc();
+            out.roots.push(slot as u32);
+            pending.push((root as usize, slot));
+            while let Some((mut i, slot)) = pending.pop() {
+                let node = loop {
+                    let n = self.nodes[i];
+                    if n.feat == 0 || renumbered[(n.feat - 1) as usize] != u32::MAX {
+                        break n;
+                    }
+                    i = n.left as usize + (pinned[(n.feat - 1) as usize] > n.x) as usize;
+                };
+                if node.feat == 0 {
+                    out.nodes[slot] = node;
+                    continue;
+                }
+                let k = renumbered[(node.feat - 1) as usize];
+                if !node.x.is_nan() {
+                    thresholds[k as usize].push(node.x);
+                }
+                let left = out.alloc();
+                out.alloc();
+                out.nodes[slot] = FlatNode {
+                    feat: k + 1,
+                    left: left as u32,
+                    x: node.x,
+                };
+                pending.push((node.left as usize, left));
+                pending.push((node.left as usize + 1, left + 1));
+            }
+        }
+        for t in &mut thresholds {
+            // `-0.0` and `0.0` sort adjacent and compare equal, and so
+            // do their `x > t` predicates.
+            t.sort_by(f64::total_cmp);
+            t.dedup();
+        }
+        (out, thresholds)
     }
 
     /// Sum of every tree's leaf value for one feature row, in tree
@@ -447,7 +518,11 @@ impl SplitWorkspace {
         for f in 0..n_features {
             let col: Vec<f64> = indices.iter().map(|&i| data.row(i)[f]).collect();
             let mut order: Vec<u32> = (0..m as u32).collect();
-            order.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            // NaN sorts first: it goes left at every split.
+            order.sort_by(|&a, &b| {
+                let (x, y) = (col[a as usize], col[b as usize]);
+                y.is_nan().cmp(&x.is_nan()).then(x.total_cmp(&y))
+            });
             cols.push(col);
             orders.push(order);
         }
@@ -502,16 +577,25 @@ impl SplitWorkspace {
                 }
                 let x_here = col[p];
                 let x_next = col[order[pos + 1] as usize];
-                if x_here == x_next {
-                    continue; // cannot split between equal values
+                if x_here == x_next || x_next.is_nan() {
+                    continue; // cannot split between equal values or NaNs
                 }
+                // Between the last NaN and the first number, the cut that
+                // sends every number right is -inf.
+                let threshold = if !x_here.is_nan() {
+                    0.5 * (x_here + x_next)
+                } else if x_next > f64::NEG_INFINITY {
+                    f64::NEG_INFINITY
+                } else {
+                    continue;
+                };
                 let right_sum = total_sum - left_sum;
                 let right_sq = total_sq - left_sq;
                 let left_sse = left_sq - left_sum * left_sum / left_n as f64;
                 let right_sse = right_sq - right_sum * right_sum / right_n as f64;
                 let improvement = parent_sse - left_sse - right_sse;
                 if improvement > 1e-12 && best.is_none_or(|(b, _)| improvement > b) {
-                    best = Some((improvement, 0.5 * (x_here + x_next)));
+                    best = Some((improvement, threshold));
                 }
             }
             best
@@ -532,8 +616,9 @@ impl SplitWorkspace {
         best
     }
 
-    /// Stably partitions every feature's segment so samples with
-    /// `feature <= threshold` come first; returns the boundary position.
+    /// Stably partitions every feature's segment so samples that do not
+    /// satisfy `feature > threshold` (NaN included) come first; returns
+    /// the boundary position.
     /// Stability keeps each child segment sorted in every feature.
     fn apply_split(
         &mut self,
@@ -545,9 +630,9 @@ impl SplitWorkspace {
         let mut left_n = 0usize;
         for pos in seg.clone() {
             let p = self.orders[feature][pos] as usize;
-            let left = self.cols[feature][p] <= threshold;
-            self.goes_left[p] = left;
-            left_n += left as usize;
+            let right = self.cols[feature][p] > threshold;
+            self.goes_left[p] = !right;
+            left_n += !right as usize;
         }
 
         let mut kept = Vec::with_capacity(n - left_n);

@@ -177,24 +177,11 @@ impl SealedPrefix {
         let eir =
             ranker.rank_with_uncertainty(&data, &self.events, column_uncertainty.as_deref())?;
 
-        let top: Vec<EventId> = eir
-            .top(self.miner.interaction_top_k)
-            .iter()
-            .map(|&(e, _)| e)
-            .collect();
-        let mapm_cols: Vec<usize> = eir
-            .mapm_events
-            .iter()
-            .map(|e| self.events.iter().position(|x| x == e).expect("mapm event"))
-            .collect();
-        let mapm_data = data
-            .select_features(&mapm_cols)
-            .map_err(counterminer::CmError::Ml)?;
-        let interactions = InteractionRanker::new().rank_pairs_additive(
-            &eir.mapm,
-            &eir.mapm_events,
-            &mapm_data,
-            &top,
+        let interactions = InteractionRanker::new().rank_top_additive(
+            &eir,
+            &self.events,
+            &data,
+            self.miner.interaction_top_k,
         )?;
 
         cm_obs::counter_add("stream.trains", 1);
