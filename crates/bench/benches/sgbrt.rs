@@ -94,9 +94,8 @@ fn bench_trainers(s: &mut Sampler) {
     });
 }
 
-/// Per-row `Vec` rows vs. one packed flat buffer — the allocation the
-/// interaction sweeps used to pay per probe row.
-fn bench_predict_flat(s: &mut Sampler) {
+/// Batch prediction over per-row `Vec` rows.
+fn bench_predict(s: &mut Sampler) {
     let mut group = s.group("sgbrt_predict", 10);
     let data = dataset(2000, 60);
     let model = SgbrtConfig {
@@ -105,12 +104,8 @@ fn bench_predict_flat(s: &mut Sampler) {
     }
     .fit(&data)
     .unwrap();
-    let flat: Vec<f64> = data.rows().iter().flatten().copied().collect();
     group.bench("predict_batch_nested_2000x60", || {
         model.predict_batch(std::hint::black_box(data.rows()))
-    });
-    group.bench("predict_batch_flat_2000x60", || {
-        model.predict_batch_flat(std::hint::black_box(&flat))
     });
 }
 
@@ -119,6 +114,6 @@ fn main() {
     bench_sgbrt(&mut s);
     bench_sgbrt_threads(&mut s);
     bench_trainers(&mut s);
-    bench_predict_flat(&mut s);
+    bench_predict(&mut s);
     s.finish();
 }

@@ -10,7 +10,7 @@
 
 use crate::CmError;
 use cm_events::EventId;
-use cm_ml::{metrics, BinnedDataset, Dataset, Sgbrt, SgbrtConfig, Trainer, MAX_BINS};
+use cm_ml::{metrics, BinnedDataset, Dataset, Refitter, Sgbrt, SgbrtConfig, Trainer, MAX_BINS};
 use cm_par::rng::{mix_seed, Rng};
 use cm_stats::estimator::{rank_stability, Posterior};
 
@@ -217,21 +217,25 @@ impl ImportanceRanker {
         // run: every pruning round retrains on a zero-copy column view of
         // this shared binning, so retraining never re-quantizes (and
         // never materializes a pruned copy of the raw training matrix).
+        // Pruning keeps the surviving columns in order, so each round
+        // also takes over the previous round's leading trees up to the
+        // first one that split on a pruned event.
         let binned = match self.config.sgbrt.trainer {
             Trainer::Hist => Some(BinnedDataset::from_dataset(&train, MAX_BINS)),
             Trainer::Exact => None,
         };
+        let mut refitter = binned
+            .as_ref()
+            .map(|binned| Refitter::new(self.config.sgbrt, binned, train.targets()));
 
         loop {
             let _round = cm_obs::span!("eir.round", round = iterations.len());
-            let (model, test_view) = match &binned {
-                Some(binned) => {
+            let (model, test_view) = match &mut refitter {
+                Some(refitter) => {
                     // Training reads bin codes only; just the held-out
                     // rows need a raw-value projection for prediction.
-                    let train_view = binned.select(&active)?;
-                    let test_view = test.select_features(&active)?;
-                    let model = self.config.sgbrt.fit_binned(&train_view, train.targets())?;
-                    (model, test_view)
+                    let model = refitter.fit(&active)?;
+                    (model, test.select_features(&active)?)
                 }
                 None => {
                     // The two view projections are independent gathers;

@@ -517,15 +517,16 @@ mod tests {
     /// one full probe row per dataset row, pinned at the mean row,
     /// predicted through the whole forest.
     fn row_sweep(model: &Sgbrt, means: &[f64], data: &Dataset, cols: &[usize]) -> Vec<f64> {
-        let mut probes = Vec::with_capacity(data.n_rows() * means.len());
-        for row in data.rows() {
-            let start = probes.len();
-            probes.extend_from_slice(means);
-            for &c in cols {
-                probes[start + c] = row[c];
-            }
-        }
-        model.predict_batch_flat(&probes)
+        let mut probe = means.to_vec();
+        data.rows()
+            .iter()
+            .map(|row| {
+                for &c in cols {
+                    probe[c] = row[c];
+                }
+                model.predict(&probe)
+            })
+            .collect()
     }
 
     /// `rank_pairs_additive` as it was before cell sweeps, serial.

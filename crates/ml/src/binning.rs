@@ -174,15 +174,19 @@ impl BinnedView<'_> {
         self.binned.code_column(self.cols[j])
     }
 
-    /// The bin code of view column `j` at `row`.
-    pub(crate) fn code(&self, j: usize, row: usize) -> u8 {
-        self.binned.code(self.cols[j], row)
+    /// The underlying dataset.
+    pub(crate) fn dataset(&self) -> &BinnedDataset {
+        self.binned
     }
 
-    /// The raw-value threshold of the split "code <= b" on view column
-    /// `j`.
-    pub(crate) fn cut_value(&self, j: usize, b: usize) -> f64 {
-        self.binned.cut_value(self.cols[j], b)
+    /// The underlying column of view column `j`.
+    pub(crate) fn column(&self, j: usize) -> usize {
+        self.cols[j]
+    }
+
+    /// The first view column holding underlying column `col`, if any.
+    pub(crate) fn position(&self, col: usize) -> Option<usize> {
+        self.cols.iter().position(|&c| c == col)
     }
 }
 
@@ -291,7 +295,7 @@ mod tests {
         let view = binned.select(&[1]).unwrap();
         assert_eq!(view.n_features(), 1);
         assert_eq!(view.n_bins(0), 3);
-        assert_eq!(view.code(0, 4), binned.code(1, 4));
+        assert_eq!(view.code_column(0)[4], binned.code(1, 4));
         assert!(binned.select(&[]).is_err());
         assert!(binned.select(&[2]).is_err());
     }

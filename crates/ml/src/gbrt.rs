@@ -79,62 +79,6 @@ impl SgbrtConfig {
         self
     }
 
-    /// Trains with early stopping: a `validation_fraction` of rows is
-    /// held out, and boosting stops once the validation MSE has not
-    /// improved for `patience` consecutive stages. The returned model is
-    /// truncated at the best validation stage, preventing the late-stage
-    /// overfitting that plain [`SgbrtConfig::fit`] allows.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SgbrtConfig::fit`], plus invalid
-    /// `validation_fraction` (must leave both sides non-empty) or zero
-    /// `patience`.
-    pub fn fit_early_stopping(
-        self,
-        data: &Dataset,
-        validation_fraction: f64,
-        patience: usize,
-    ) -> Result<Sgbrt, MlError> {
-        if patience == 0 {
-            return Err(MlError::InvalidConfig("patience must be at least 1"));
-        }
-        let mut rng = Rng::new(self.seed ^ 0x5EED);
-        let (train, validation) = data.train_test_split(validation_fraction, &mut rng)?;
-        let full = self.fit(&train)?;
-
-        // Walk the staged predictions over the validation set.
-        let mut preds: Vec<f64> = vec![full.base; validation.n_rows()];
-        let mut best_stage = 0usize;
-        let mut best_mse = crate::metrics::mse(validation.targets(), &preds)?;
-        let mut since_best = 0usize;
-        for (stage, tree) in full.trees.iter().enumerate() {
-            for (p, row) in preds.iter_mut().zip(validation.rows()) {
-                *p += full.learning_rate * tree.predict(row);
-            }
-            let mse = crate::metrics::mse(validation.targets(), &preds)?;
-            if mse < best_mse {
-                best_mse = mse;
-                best_stage = stage + 1;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= patience {
-                    break;
-                }
-            }
-        }
-        let mut trees = full.trees;
-        trees.truncate(best_stage.max(1));
-        // Reflatten: the SoA predictor must mirror the kept stages.
-        Ok(Sgbrt::from_parts(
-            full.base,
-            full.learning_rate,
-            trees,
-            full.n_features,
-        ))
-    }
-
     /// Trains an ensemble on `data`, dispatching on
     /// [`SgbrtConfig::trainer`]. The histogram path quantizes `data`
     /// once ([`BinnedDataset::from_dataset`]) and trains on the binned
@@ -202,7 +146,7 @@ impl SgbrtConfig {
 
     fn fit_exact(self, data: &Dataset) -> Result<Sgbrt, MlError> {
         self.validate()?;
-        record_fit(self.n_trees, "exact");
+        record_fit(self.n_trees, 0, "exact");
         let n = data.n_rows();
         let base = data.targets().iter().sum::<f64>() / n as f64;
         let mut residuals: Vec<f64> = data.targets().iter().map(|&y| y - base).collect();
@@ -255,8 +199,25 @@ impl SgbrtConfig {
     /// hyperparameters and [`MlError::InconsistentShape`] when `targets`
     /// does not pair with the view's rows.
     pub fn fit_binned(self, view: &BinnedView<'_>, targets: &[f64]) -> Result<Sgbrt, MlError> {
+        self.boost(view, targets, Vec::new())
+            .map(|(model, _)| model)
+    }
+
+    /// The histogram boosting loop, shared by [`SgbrtConfig::fit_binned`]
+    /// and [`Refitter::fit`]. Stage `t < code_trees.len()` takes over
+    /// `code_trees[t]` instead of growing a tree; the caller vouches
+    /// that growing it would give the same tree. Returns the model and
+    /// every stage's tree in code space.
+    fn boost(
+        self,
+        view: &BinnedView<'_>,
+        targets: &[f64],
+        mut code_trees: Vec<hist::CodeTree>,
+    ) -> Result<(Sgbrt, Vec<hist::CodeTree>), MlError> {
         self.validate()?;
-        record_fit(self.n_trees, "hist");
+        let reused = code_trees.len();
+        debug_assert!(reused <= self.n_trees);
+        record_fit(self.n_trees - reused, reused, "hist");
         let n = view.n_rows();
         if targets.len() != n {
             return Err(MlError::InconsistentShape {
@@ -273,32 +234,159 @@ impl SgbrtConfig {
         let mut arena = hist::HistArena::default();
 
         for t in 0..self.n_trees {
-            let sample = self.stage_sample(n, t);
-            let fitted = hist::fit_hist_tree(view, &residuals, &sample, self.tree, &mut arena)?;
+            if t >= reused {
+                let sample = self.stage_sample(n, t);
+                code_trees.push(hist::fit_hist_tree(
+                    view, &residuals, &sample, self.tree, &mut arena,
+                )?);
+            }
+            let fitted = &code_trees[t];
             // Route every row through the tree by bin code — no raw
             // feature reads in the training loop.
             for (i, r) in residuals.iter_mut().enumerate() {
-                *r -= self.learning_rate * fitted.route(view, i);
+                *r -= self.learning_rate * fitted.route(view.dataset(), i);
             }
-            trees.push(fitted.tree);
+            trees.push(fitted.to_tree(view));
         }
 
-        Ok(Sgbrt::from_parts(
-            base,
-            self.learning_rate,
-            trees,
-            view.n_features(),
-        ))
+        let model = Sgbrt::from_parts(base, self.learning_rate, trees, view.n_features());
+        Ok((model, code_trees))
     }
 }
 
-/// One observability record per training run: which trainer ran and how
-/// many stages it will grow. Counted at entry (not per stage) so the
-/// totals are independent of how the stages are scheduled.
-fn record_fit(n_trees: usize, trainer: &str) {
+/// Refits a histogram-binned ensemble on successive column subsets of
+/// one [`BinnedDataset`] with one config and one target vector — the EIR
+/// loop's pruning rounds — taking over the previous fit's leading trees
+/// where the new fit would grow them again bit for bit.
+///
+/// Every [`Refitter::fit`] returns exactly what
+/// [`SgbrtConfig::fit_binned`] returns on the same column view. A tree
+/// is taken over when three things hold:
+///
+/// - **No dropped column.** The tree, and every tree before it, splits
+///   only on columns the new view keeps. The first tree that splits on
+///   a dropped column grows fresh, and so does every tree after it: its
+///   residuals, and every histogram built from them, differ from there
+///   on.
+/// - **Same column 0.** A node's total is summed over the bins of view
+///   column 0, so the new view's column 0 must be the previous one's.
+/// - **Order kept.** The new columns are a subset of the previous
+///   (distinct) ones in the same relative order. Each column's best cut
+///   depends only on its own histogram, the node total, the node size
+///   and the leaf-size floor, and a split goes to the first column with
+///   the strictly greatest improvement, lowest column first — which is
+///   the same column on any order-keeping subset that still holds it.
+///
+/// Otherwise the fit takes over nothing. The refitter keeps only the last
+/// fit's trees in code space between fits, never a histogram.
+///
+/// # Examples
+///
+/// ```
+/// use cm_ml::{BinnedDataset, Dataset, Refitter, SgbrtConfig, MAX_BINS};
+///
+/// let rows: Vec<Vec<f64>> = (0..80)
+///     .map(|i| vec![(i % 9) as f64, (i % 7) as f64, (i % 5) as f64])
+///     .collect();
+/// let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] + r[2]).collect();
+/// let data = Dataset::new(rows, y)?;
+/// let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+/// let config = SgbrtConfig { n_trees: 20, ..SgbrtConfig::default() };
+/// let mut refitter = Refitter::new(config, &binned, data.targets());
+/// refitter.fit(&[0, 1, 2])?;
+/// // Column 1 is dropped: leading trees that never split on it are
+/// // taken over, and the model is the one a fresh fit grows.
+/// let pruned = refitter.fit(&[0, 2])?;
+/// assert_eq!(pruned, config.fit_binned(&binned.select(&[0, 2])?, data.targets())?);
+/// # Ok::<(), cm_ml::MlError>(())
+/// ```
+#[derive(Debug)]
+pub struct Refitter<'a> {
+    config: SgbrtConfig,
+    binned: &'a BinnedDataset,
+    targets: &'a [f64],
+    /// The previous fit's columns and its trees in code space.
+    last: Option<(Vec<usize>, Vec<hist::CodeTree>)>,
+}
+
+impl<'a> Refitter<'a> {
+    /// A refitter that trains `config` on column views of `binned`
+    /// against `targets` (one per row).
+    pub fn new(config: SgbrtConfig, binned: &'a BinnedDataset, targets: &'a [f64]) -> Self {
+        Refitter {
+            config,
+            binned,
+            targets,
+            last: None,
+        }
+    }
+
+    /// Trains on the columns `cols` of the dataset, in that order, taking
+    /// over the previous fit's leading trees where that is exact.
+    ///
+    /// # Errors
+    ///
+    /// As [`BinnedDataset::select`] and [`SgbrtConfig::fit_binned`].
+    pub fn fit(&mut self, cols: &[usize]) -> Result<Sgbrt, MlError> {
+        self.refit(cols).map(|(model, _)| model)
+    }
+
+    /// [`Refitter::fit`], also returning how many trees it took over.
+    fn refit(&mut self, cols: &[usize]) -> Result<(Sgbrt, usize), MlError> {
+        let view = self.binned.select(cols)?;
+        let taken = match self.last.take() {
+            Some((last_cols, mut trees)) => {
+                let keep = reusable_prefix(&last_cols, cols, &trees, self.binned.n_features());
+                trees.truncate(keep);
+                trees
+            }
+            None => Vec::new(),
+        };
+        let reused = taken.len();
+        let (model, trees) = self.config.boost(&view, self.targets, taken)?;
+        self.last = Some((cols.to_vec(), trees));
+        Ok((model, reused))
+    }
+}
+
+/// How many leading `trees` of a fit on columns `old` a fit on columns
+/// `new` would grow again bit for bit (see [`Refitter`]); `n_cols` is
+/// the dataset's column count.
+fn reusable_prefix(old: &[usize], new: &[usize], trees: &[hist::CodeTree], n_cols: usize) -> usize {
+    // Node totals are summed over view column 0's bins.
+    if old.first() != new.first() {
+        return 0;
+    }
+    // A repeated column splits at its first position; dropping that
+    // occurrence could hand its splits to a column that tied it.
+    let mut seen = vec![false; n_cols];
+    if old.iter().any(|&c| std::mem::replace(&mut seen[c], true)) {
+        return 0;
+    }
+    // `new` must be a subsequence of `old`.
+    let mut rest = old.iter();
+    if !new.iter().all(|c| rest.any(|o| o == c)) {
+        return 0;
+    }
+    let mut kept = vec![false; n_cols];
+    for &c in new {
+        kept[c] = true;
+    }
+    trees
+        .iter()
+        .take_while(|tree| tree.split_columns().all(|c| kept[c]))
+        .count()
+}
+
+/// One observability record per training run: which trainer ran, how
+/// many stages it will grow and how many it takes over from a previous
+/// fit. Counted at entry (not per stage) so the totals are independent
+/// of how the stages are scheduled.
+fn record_fit(grown: usize, reused: usize, trainer: &str) {
     if cm_obs::enabled() {
         cm_obs::counter_add("ml.fits", 1);
-        cm_obs::counter_add("ml.trees_grown", n_trees as u64);
+        cm_obs::counter_add("ml.trees_grown", grown as u64);
+        cm_obs::counter_add("ml.trees_reused", reused as u64);
         cm_obs::label_set("ml.trainer", trainer);
     }
 }
@@ -435,35 +523,6 @@ impl Sgbrt {
             *v = self.base + self.learning_rate * *v;
         }
         out
-    }
-
-    /// Predicts a batch packed as one contiguous row-major buffer of
-    /// `k · n_features` values — the entry point for dense sweeps that
-    /// write candidate rows into one buffer instead of a `Vec<f64>` per
-    /// row. Bit-identical to calling [`Sgbrt::predict`] on each row
-    /// slice. A sweep that varies only a few columns of one pinned row
-    /// does less work through [`Sgbrt::fold`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of the training width.
-    pub fn predict_batch_flat(&self, rows: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            rows.len() % self.n_features,
-            0,
-            "flat buffer length must be a multiple of the feature count"
-        );
-        let k = rows.len() / self.n_features;
-        cm_par::map_chunked(k, PREDICT_CHUNK, |range| {
-            let packed = &rows[range.start * self.n_features..range.end * self.n_features];
-            let mut out = vec![0.0; range.len()];
-            self.flat
-                .predict_packed_into(packed, self.n_features, &mut out);
-            for v in &mut out {
-                *v = self.base + self.learning_rate * *v;
-            }
-            out
-        })
     }
 
     /// Folds the ensemble at the row `pinned`, keeping only the splits on
@@ -753,56 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_truncates_and_does_not_hurt() {
-        // Pure-noise target: extra stages only overfit, so early stopping
-        // should truncate well before the full 200 stages.
-        let mut rng = Rng::new(12);
-        let rows: Vec<Vec<f64>> = (0..300)
-            .map(|_| vec![rng.range_f64(-1.0..1.0), rng.range_f64(-1.0..1.0)])
-            .collect();
-        let y: Vec<f64> = (0..300).map(|_| rng.range_f64(-1.0..1.0)).collect();
-        let data = Dataset::new(rows, y).unwrap();
-        let config = SgbrtConfig {
-            n_trees: 200,
-            ..SgbrtConfig::default()
-        };
-        let stopped = config.fit_early_stopping(&data, 0.25, 5).unwrap();
-        assert!(
-            stopped.n_trees() < 200,
-            "expected truncation, kept {}",
-            stopped.n_trees()
-        );
-        assert!(stopped.n_trees() >= 1);
-    }
-
-    #[test]
-    fn early_stopping_keeps_signal_stages() {
-        let data = friedman_like(400, 13);
-        let config = SgbrtConfig {
-            n_trees: 150,
-            ..SgbrtConfig::default()
-        };
-        let stopped = config.fit_early_stopping(&data, 0.2, 10).unwrap();
-        // A real signal keeps many stages and predicts decently.
-        assert!(stopped.n_trees() > 20, "kept {}", stopped.n_trees());
-        let test = friedman_like(100, 14);
-        let err =
-            metrics::relative_error(test.targets(), &stopped.predict_batch(test.rows())).unwrap();
-        assert!(err < 0.2, "error {err}");
-    }
-
-    #[test]
-    fn early_stopping_validates_inputs() {
-        let data = friedman_like(50, 15);
-        assert!(SgbrtConfig::default()
-            .fit_early_stopping(&data, 0.2, 0)
-            .is_err());
-        assert!(SgbrtConfig::default()
-            .fit_early_stopping(&data, 0.0, 3)
-            .is_err());
-    }
-
-    #[test]
     fn cross_validation_returns_k_fold_errors() {
         let data = friedman_like(200, 20);
         let config = SgbrtConfig {
@@ -930,37 +939,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn predict_batch_flat_matches_predict() {
-        let data = friedman_like(150, 29);
-        let model = SgbrtConfig {
-            n_trees: 30,
-            ..SgbrtConfig::default()
-        }
-        .fit(&data)
-        .unwrap();
-        let flat: Vec<f64> = data.rows().iter().flatten().copied().collect();
-        let batch = model.predict_batch_flat(&flat);
-        assert_eq!(batch.len(), data.n_rows());
-        for (row, &b) in data.rows().iter().zip(&batch) {
-            assert_eq!(model.predict(row), b);
-        }
-        assert!(model.predict_batch_flat(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the feature count")]
-    fn predict_batch_flat_rejects_ragged_buffers() {
-        let data = friedman_like(50, 33);
-        let model = SgbrtConfig {
-            n_trees: 5,
-            ..SgbrtConfig::default()
-        }
-        .fit(&data)
-        .unwrap();
-        model.predict_batch_flat(&[1.0, 2.0, 3.0]);
-    }
-
     /// FNV-1a of a value's `Debug` text. `f64` debug-prints its
     /// shortest round-trip form, so equal digests mean bit-equal models.
     fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
@@ -1076,6 +1054,287 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Eight columns for the refit oracles: noise in column 0 (rarely a
+    /// split, so dropping it leaves long reusable prefixes but moves
+    /// every node total), one strong, one stepped and three weaker
+    /// signals, more noise, and in column 7 an exact copy of column 1
+    /// (every split on one ties the other).
+    fn refit_data(n: usize, seed: u64) -> Dataset {
+        let mut rng = Rng::new(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                let mut r = vec![
+                    rng.range_f64(0.0..1.0),
+                    rng.range_f64(-2.0..2.0),
+                    rng.range_usize(0..5) as f64,
+                    rng.range_f64(0.0..3.0),
+                    rng.range_f64(0.0..1.0),
+                    rng.range_usize(0..3) as f64,
+                    rng.range_f64(0.0..1.0),
+                ];
+                r.push(r[1]);
+                r
+            })
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| {
+                3.0 * r[1].sin() + r[2] + 0.5 * r[3] * r[3] + 0.4 * r[4] + 0.3 * r[5] - 0.05 * r[0]
+                    + 0.1 * rng.range_f64(-1.0..1.0)
+            })
+            .collect();
+        Dataset::new(rows, y).unwrap()
+    }
+
+    /// The trees a fit on `new` columns may take over from `prev`, a fit
+    /// on `old` columns, read off the raw trees: none when column 0
+    /// changes or `new` is not an order-keeping subset of `old`, else
+    /// the leading trees whose splits all use kept columns.
+    fn expected_reuse(prev: &Sgbrt, old: &[usize], new: &[usize]) -> usize {
+        let mut rest = old.iter();
+        if old[0] != new[0] || !new.iter().all(|c| rest.any(|o| o == c)) {
+            return 0;
+        }
+        kept_prefix(prev, old, new)
+    }
+
+    /// The leading trees of `prev` (a fit on `old` columns) that split
+    /// only on columns `new` keeps. A split's improvement is always
+    /// positive, so a column's importance sum is nonzero exactly when a
+    /// tree splits on it.
+    fn kept_prefix(prev: &Sgbrt, old: &[usize], new: &[usize]) -> usize {
+        prev.trees
+            .iter()
+            .take_while(|tree| {
+                let mut used = vec![0.0; old.len()];
+                tree.accumulate_importance(&mut used);
+                (0..old.len()).all(|f| used[f] == 0.0 || new.contains(&old[f]))
+            })
+            .count()
+    }
+
+    /// Runs `refitter` over each column list in turn. Every fit must
+    /// print (`{:?}`, so NaN leaves compare too) exactly as a fresh
+    /// `fit_binned` on the same view, and take over exactly
+    /// [`expected_reuse`] trees. Returns the trees taken over.
+    fn refit_chain(
+        refitter: &mut Refitter<'_>,
+        binned: &BinnedDataset,
+        targets: &[f64],
+        chain: &[Vec<usize>],
+    ) -> usize {
+        let mut prev: Option<(Sgbrt, &[usize])> = None;
+        let mut total = 0;
+        for cols in chain {
+            let (model, reused) = refitter.refit(cols).unwrap();
+            let fresh = refitter
+                .config
+                .fit_binned(&binned.select(cols).unwrap(), targets)
+                .unwrap();
+            assert_eq!(
+                format!("{model:?}"),
+                format!("{fresh:?}"),
+                "{chain:?} at {cols:?}"
+            );
+            let expected = prev
+                .as_ref()
+                .map_or(0, |(p, old)| expected_reuse(p, old, cols));
+            assert_eq!(reused, expected, "{chain:?} at {cols:?}");
+            total += reused;
+            prev = Some((model, cols));
+        }
+        total
+    }
+
+    /// Seeded oracle: chains of column subsets through one refitter —
+    /// pruning that keeps column 0, pruning column 0, a reordered subset
+    /// (ties between columns 1 and 7 make order matter), a superset, and
+    /// `n_trees` 1, 8 and 30 at depths 2–4.
+    #[test]
+    fn refit_matches_fresh_fit_over_seeded_column_subsets() {
+        let mut rng = Rng::new(0x2ef1);
+        let (mut reused, mut unguarded_col0, mut unguarded_order) = (0, 0, 0);
+        for case in 0..24u64 {
+            let data = refit_data(150 + 7 * case as usize, 100 + case);
+            let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+            let config = SgbrtConfig {
+                n_trees: [1, 8, 30][case as usize % 3],
+                learning_rate: [0.1, 0.3][case as usize % 2],
+                subsample: [0.7, 1.0][case as usize / 2 % 2],
+                tree: TreeConfig {
+                    max_depth: 2 + case as usize % 3,
+                    ..TreeConfig::default()
+                },
+                seed: case,
+                trainer: Trainer::Hist,
+            };
+            let mut cols: Vec<usize> = (0..8).collect();
+            if case % 4 == 3 {
+                rng.shuffle(&mut cols);
+            }
+            // Drop `k` columns other than the first, keeping the order.
+            let mut prune = |cols: &[usize], k: usize| -> Vec<usize> {
+                let mut rest = cols[1..].to_vec();
+                for _ in 0..k {
+                    rest.remove(rng.range_usize(0..rest.len()));
+                }
+                std::iter::once(cols[0]).chain(rest).collect()
+            };
+            let s1 = prune(&cols, 2);
+            let s2 = prune(&s1, 1);
+            let s3 = s2[1..].to_vec();
+            let s4: Vec<usize> = std::iter::once(s3[0])
+                .chain(s3[1..].iter().rev().copied())
+                .collect();
+            let mut s5 = s4.clone();
+            s5.push(s2[0]);
+            let chain = [cols, s1, s2.clone(), s3.clone(), s4.clone(), s5];
+            let mut refitter = Refitter::new(config, &binned, data.targets());
+            reused += refit_chain(&mut refitter, &binned, data.targets(), &chain);
+            // Without the guards, dropping column 0 and reordering would
+            // have taken these trees over.
+            let fit = |cols: &[usize]| {
+                config
+                    .fit_binned(&binned.select(cols).unwrap(), data.targets())
+                    .unwrap()
+            };
+            unguarded_col0 += kept_prefix(&fit(&s2), &s2, &s3);
+            unguarded_order += kept_prefix(&fit(&s3), &s3, &s4);
+        }
+        assert!(reused > 30, "only {reused} trees taken over");
+        assert!(unguarded_col0 > 20, "column-0 drops: {unguarded_col0}");
+        assert!(unguarded_order > 100, "reorders: {unguarded_order}");
+    }
+
+    /// The refitter's code-space trees from its last fit.
+    fn last_trees<'r>(refitter: &'r Refitter<'_>) -> &'r [hist::CodeTree] {
+        &refitter.last.as_ref().expect("a previous fit").1
+    }
+
+    /// Dropping the column tree 0's root splits on takes nothing over.
+    #[test]
+    fn refit_dropping_the_root_column_of_tree_zero_takes_nothing_over() {
+        let data = refit_data(240, 7);
+        let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+        let config = SgbrtConfig {
+            n_trees: 20,
+            ..SgbrtConfig::default()
+        };
+        let all: Vec<usize> = (0..8).collect();
+        let mut refitter = Refitter::new(config, &binned, data.targets());
+        refitter.refit(&all).unwrap();
+        let root = last_trees(&refitter)[0].split_columns().last().unwrap();
+        assert_ne!(root, 0, "the noise column should not be tree 0's root");
+        let kept: Vec<usize> = all.iter().copied().filter(|&c| c != root).collect();
+        let reused = refit_chain(&mut refitter, &binned, data.targets(), &[kept]);
+        assert_eq!(reused, 0);
+    }
+
+    /// Dropping a column whose first split sits below the root of a
+    /// later tree `k` takes over exactly the `k` trees before it.
+    #[test]
+    fn refit_dropping_a_column_first_used_deep_in_a_later_tree_takes_over_the_trees_before() {
+        let mut found = 0;
+        for seed in 0..6 {
+            let data = refit_data(200, 30 + seed);
+            let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+            let config = SgbrtConfig {
+                n_trees: 40,
+                tree: TreeConfig {
+                    max_depth: 4,
+                    ..TreeConfig::default()
+                },
+                ..SgbrtConfig::default()
+            }
+            .with_seed(seed);
+            let all: Vec<usize> = (0..8).collect();
+            let mut refitter = Refitter::new(config, &binned, data.targets());
+            refitter.refit(&all).unwrap();
+            let trees = last_trees(&refitter);
+            // (column, tree of its first split) for columns whose first
+            // split is not at that tree's root.
+            let deep = (1..8).find_map(|c| {
+                let k = trees
+                    .iter()
+                    .position(|t| t.split_columns().any(|s| s == c))?;
+                let root = trees[k].split_columns().last();
+                (k > 0 && root != Some(c)).then_some((c, k))
+            });
+            let Some((dropped, k)) = deep else { continue };
+            let kept: Vec<usize> = all.iter().copied().filter(|&c| c != dropped).collect();
+            let mut chain = Refitter::new(config, &binned, data.targets());
+            let reused = refit_chain(&mut chain, &binned, data.targets(), &[all, kept]);
+            assert_eq!(reused, k, "seed {seed}: column {dropped}");
+            found += 1;
+        }
+        assert!(found >= 3, "only {found} seeds had a deep first split");
+    }
+
+    /// A view that repeats a column: its splits sit at the column's first
+    /// position, so dropping that occurrence would move them onto the
+    /// column that tied it (column 7 copies column 1). A refit from a
+    /// view with a repeated column takes nothing over.
+    #[test]
+    fn refit_from_a_view_with_a_repeated_column_takes_nothing_over() {
+        let data = refit_data(200, 91);
+        let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+        let config = SgbrtConfig {
+            n_trees: 15,
+            ..SgbrtConfig::default()
+        };
+        let mut refitter = Refitter::new(config, &binned, data.targets());
+        refitter.refit(&[0, 1, 7, 1, 2]).unwrap();
+        let cols = [0, 7, 1, 2];
+        let (model, reused) = refitter.refit(&cols).unwrap();
+        assert_eq!(reused, 0);
+        let fresh = config
+            .fit_binned(&binned.select(&cols).unwrap(), data.targets())
+            .unwrap();
+        assert_eq!(format!("{model:?}"), format!("{fresh:?}"));
+    }
+
+    /// NaN features (bin code 0, left at every split) and targets whose
+    /// squared sums overflow in some nodes (infinite and NaN
+    /// improvements there) or everywhere (an infinite target makes every
+    /// gradient non-finite) refit exactly as fresh fits do.
+    #[test]
+    fn refit_matches_fresh_fit_on_nan_features_and_non_finite_gradients() {
+        let data = with_nans(&refit_data(220, 81), 82);
+        let binned = BinnedDataset::from_dataset(&data, MAX_BINS);
+        let huge: Vec<f64> = data
+            .targets()
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| {
+                if i % 17 == 0 {
+                    1e155 * (i % 2) as f64 - 5e154
+                } else {
+                    y
+                }
+            })
+            .collect();
+        let mut infinite = data.targets().to_vec();
+        infinite[3] = f64::INFINITY;
+        let chain = [
+            (0..8).collect(),
+            vec![0, 1, 2, 3, 5, 7],
+            vec![0, 2, 3, 5, 7],
+            vec![0, 3, 7],
+        ];
+        let mut reused = 0;
+        for targets in [data.targets(), &huge[..], &infinite[..]] {
+            let config = SgbrtConfig {
+                n_trees: 25,
+                ..SgbrtConfig::default()
+            };
+            let mut refitter = Refitter::new(config, &binned, targets);
+            reused += refit_chain(&mut refitter, &binned, targets, &chain);
+        }
+        // The all-NaN gradients split nowhere: every later fit takes
+        // over all 25 trees.
+        assert!(reused >= 75, "only {reused} trees taken over");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   arithmetic. [`HistWorkspace::best_split`] therefore scans four
 //!   columns at once, four independent chains the core overlaps.
 
-use crate::binning::{BinnedView, MAX_BINS};
+use crate::binning::{BinnedDataset, BinnedView, MAX_BINS};
 use crate::tree::{Node, RegressionTree, TreeConfig};
 use crate::MlError;
 
@@ -49,20 +49,21 @@ const LANES: usize = 4;
 /// Matches the exact trainer's minimum useful squared-error improvement.
 const MIN_IMPROVEMENT: f64 = 1e-12;
 
-/// A tree grown on binned codes: the portable raw-threshold
-/// [`RegressionTree`] plus a code-space router that classifies any row of
-/// the source [`BinnedView`] without touching raw feature values — the
-/// boosting loop's residual updates run entirely in bin space.
+/// A tree grown on binned codes, kept in code space: each split names an
+/// underlying [`BinnedDataset`] column and a bin cut, so the tree routes
+/// any row of any view over that dataset without touching raw feature
+/// values — the boosting loop's residual updates run entirely in bin
+/// space — and a later fit on a column subset can take the tree over
+/// ([`CodeTree::to_tree`] renumbers its columns).
 #[derive(Debug)]
-pub(crate) struct HistTree {
-    pub(crate) tree: RegressionTree,
-    /// Router nodes, children pushed before parents (root last), exactly
-    /// mirroring `tree`'s layout.
-    router: Vec<RouterNode>,
+pub(crate) struct CodeTree {
+    /// Children pushed before parents (root last), the layout of the
+    /// [`RegressionTree`] it converts to.
+    nodes: Vec<CodeNode>,
 }
 
 #[derive(Debug)]
-enum RouterNode {
+enum CodeNode {
     Leaf {
         value: f64,
     },
@@ -71,23 +72,25 @@ enum RouterNode {
         cut: u8,
         left: u32,
         right: u32,
+        improvement: f64,
     },
 }
 
-impl HistTree {
-    /// The leaf value `row` of the view routes to.
-    pub(crate) fn route(&self, view: &BinnedView<'_>, row: usize) -> f64 {
-        let mut i = self.router.len() - 1;
+impl CodeTree {
+    /// The leaf value `row` of the dataset routes to.
+    pub(crate) fn route(&self, binned: &BinnedDataset, row: usize) -> f64 {
+        let mut i = self.nodes.len() - 1;
         loop {
-            match self.router[i] {
-                RouterNode::Leaf { value } => return value,
-                RouterNode::Split {
+            match self.nodes[i] {
+                CodeNode::Leaf { value } => return value,
+                CodeNode::Split {
                     col,
                     cut,
                     left,
                     right,
+                    ..
                 } => {
-                    i = if view.code(col as usize, row) <= cut {
+                    i = if binned.code(col as usize, row) <= cut {
                         left as usize
                     } else {
                         right as usize
@@ -95,6 +98,47 @@ impl HistTree {
                 }
             }
         }
+    }
+
+    /// The underlying columns the tree splits on.
+    pub(crate) fn split_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.nodes.iter().filter_map(|node| match node {
+            CodeNode::Split { col, .. } => Some(*col as usize),
+            CodeNode::Leaf { .. } => None,
+        })
+    }
+
+    /// The raw-threshold tree over `view`'s columns: a split on an
+    /// underlying column becomes a split on that column's first position
+    /// in the view, at the cut's raw value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree splits on a column the view does not hold.
+    pub(crate) fn to_tree(&self, view: &BinnedView<'_>) -> RegressionTree {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| match *node {
+                CodeNode::Leaf { value } => Node::Leaf { value },
+                CodeNode::Split {
+                    col,
+                    cut,
+                    left,
+                    right,
+                    improvement,
+                } => Node::Split {
+                    feature: view
+                        .position(col as usize)
+                        .expect("a split column is in the view"),
+                    threshold: view.dataset().cut_value(col as usize, usize::from(cut)),
+                    improvement,
+                    left: left as usize,
+                    right: right as usize,
+                },
+            })
+            .collect();
+        RegressionTree::from_nodes(nodes, view.n_features())
     }
 }
 
@@ -165,17 +209,14 @@ pub(crate) fn fit_hist_tree(
     sample: &[usize],
     config: TreeConfig,
     arena: &mut HistArena,
-) -> Result<HistTree, MlError> {
+) -> Result<CodeTree, MlError> {
     config.validate()?;
     if sample.is_empty() {
         return Err(MlError::EmptyDataset);
     }
     debug_assert_eq!(gradients.len(), view.n_rows());
     let mut ws = HistWorkspace::new(view, gradients, sample, arena);
-    let mut out = HistTree {
-        tree: RegressionTree::from_nodes(Vec::new(), view.n_features()),
-        router: Vec::new(),
-    };
+    let mut out = CodeTree { nodes: Vec::new() };
     build(&mut out, &mut ws, view, 0..sample.len(), 0, None, config);
     Ok(out)
 }
@@ -398,15 +439,14 @@ impl<'a> HistWorkspace<'a> {
     }
 }
 
-/// Builds a subtree over `seg`, returning its node id (shared by the
-/// tree and the router, which are pushed in lockstep).
+/// Builds a subtree over `seg`, returning its node id.
 ///
 /// `hist` carries the node's histogram when the parent already computed
 /// it (a child derived by subtraction); `None` means "build it fresh if
 /// the node can split at all". A histogram goes back to the arena once
 /// the node has no more use for it.
 fn build(
-    out: &mut HistTree,
+    out: &mut CodeTree,
     ws: &mut HistWorkspace<'_>,
     view: &BinnedView<'_>,
     seg: std::ops::Range<usize>,
@@ -416,10 +456,9 @@ fn build(
 ) -> u32 {
     let n = seg.len();
     let mean = ws.segment_sum(seg.clone()) / n as f64;
-    let leaf = |out: &mut HistTree| -> u32 {
-        out.tree.push_node(Node::Leaf { value: mean });
-        out.router.push(RouterNode::Leaf { value: mean });
-        (out.router.len() - 1) as u32
+    let leaf = |out: &mut CodeTree| -> u32 {
+        out.nodes.push(CodeNode::Leaf { value: mean });
+        (out.nodes.len() - 1) as u32
     };
     if depth >= config.max_depth || n < config.min_samples_split {
         return leaf(out);
@@ -458,20 +497,14 @@ fn build(
     };
     let left = build(out, ws, view, left_seg, depth + 1, lh, config);
     let right = build(out, ws, view, right_seg, depth + 1, rh, config);
-    out.tree.push_node(Node::Split {
-        feature: split.col,
-        threshold: view.cut_value(split.col, split.cut as usize),
-        improvement: split.improvement,
-        left: left as usize,
-        right: right as usize,
-    });
-    out.router.push(RouterNode::Split {
-        col: split.col as u32,
+    out.nodes.push(CodeNode::Split {
+        col: view.column(split.col) as u32,
         cut: split.cut,
         left,
         right,
+        improvement: split.improvement,
     });
-    (out.router.len() - 1) as u32
+    (out.nodes.len() - 1) as u32
 }
 
 #[cfg(test)]
@@ -486,7 +519,7 @@ mod tests {
         Dataset::new(rows, y).unwrap()
     }
 
-    fn fit_full(data: &Dataset, config: TreeConfig) -> HistTree {
+    fn fit_full(data: &Dataset, config: TreeConfig) -> RegressionTree {
         let binned = BinnedDataset::from_dataset(data, 256);
         let view = binned.view();
         let indices: Vec<usize> = (0..data.n_rows()).collect();
@@ -498,15 +531,16 @@ mod tests {
             &mut HistArena::default(),
         )
         .unwrap()
+        .to_tree(&view)
     }
 
     #[test]
     fn fits_step_function_exactly() {
         let data = step_data(40);
         let fit = fit_full(&data, TreeConfig::default());
-        assert_eq!(fit.tree.predict(&[0.0, 0.0]), -1.0);
-        assert_eq!(fit.tree.predict(&[39.0, 0.0]), 1.0);
-        assert!(fit.tree.split_count() >= 1);
+        assert_eq!(fit.predict(&[0.0, 0.0]), -1.0);
+        assert_eq!(fit.predict(&[39.0, 0.0]), 1.0);
+        assert!(fit.split_count() >= 1);
     }
 
     #[test]
@@ -523,8 +557,9 @@ mod tests {
             &mut HistArena::default(),
         )
         .unwrap();
+        let tree = fit.to_tree(&view);
         for (i, row) in data.rows().iter().enumerate() {
-            assert_eq!(fit.route(&view, i), fit.tree.predict(row), "row {i}");
+            assert_eq!(fit.route(&binned, i), tree.predict(row), "row {i}");
         }
     }
 
@@ -567,10 +602,11 @@ mod tests {
             &mut HistArena::default(),
         )
         .unwrap();
-        assert!(fit.tree.split_count() >= 3);
+        let tree = fit.to_tree(&view);
+        assert!(tree.split_count() >= 3);
         for (i, row) in data.rows().iter().enumerate() {
-            let routed = fit.route(&view, i);
-            assert_eq!(routed.to_bits(), fit.tree.predict(row).to_bits(), "row {i}");
+            let routed = fit.route(&binned, i);
+            assert_eq!(routed.to_bits(), tree.predict(row).to_bits(), "row {i}");
         }
     }
 
@@ -585,7 +621,7 @@ mod tests {
                 min_samples_split: 2,
             },
         );
-        assert_eq!(fit.tree.split_count(), 1);
+        assert_eq!(fit.split_count(), 1);
         let stump = fit_full(
             &step_data(64),
             TreeConfig {
@@ -593,7 +629,7 @@ mod tests {
                 ..TreeConfig::default()
             },
         );
-        assert_eq!(stump.tree.split_count(), 1);
+        assert_eq!(stump.split_count(), 1);
     }
 
     /// `TreeConfig::validate` accepts any positive leaf size; one no
@@ -607,8 +643,8 @@ mod tests {
                 ..TreeConfig::default()
             },
         );
-        assert_eq!(fit.tree.split_count(), 0);
-        assert_eq!(fit.tree.predict(&[0.0, 0.0]), 0.0);
+        assert_eq!(fit.split_count(), 0);
+        assert_eq!(fit.predict(&[0.0, 0.0]), 0.0);
     }
 
     /// The one-column split scan the lockstep scan replaced, kept as its
@@ -752,8 +788,8 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let data = Dataset::new(rows, vec![7.0; 10]).unwrap();
         let fit = fit_full(&data, TreeConfig::default());
-        assert_eq!(fit.tree.split_count(), 0);
-        assert_eq!(fit.tree.predict(&[123.0]), 7.0);
+        assert_eq!(fit.split_count(), 0);
+        assert_eq!(fit.predict(&[123.0]), 7.0);
     }
 
     #[test]
@@ -769,9 +805,10 @@ mod tests {
             TreeConfig::default(),
             &mut HistArena::default(),
         )
-        .unwrap();
-        assert_eq!(fit.tree.predict(&[0.0, 0.0]), -1.0);
-        assert_eq!(fit.tree.predict(&[15.0, 0.0]), 1.0);
+        .unwrap()
+        .to_tree(&view);
+        assert_eq!(fit.predict(&[0.0, 0.0]), -1.0);
+        assert_eq!(fit.predict(&[15.0, 0.0]), 1.0);
     }
 
     #[test]
@@ -811,7 +848,7 @@ mod tests {
             let exact = RegressionTree::fit(&data, TreeConfig::default()).unwrap();
             let hist = fit_full(&data, TreeConfig::default());
             for (i, row) in data.rows().iter().enumerate() {
-                let (e, h) = (exact.predict(row), hist.tree.predict(row));
+                let (e, h) = (exact.predict(row), hist.predict(row));
                 assert!(
                     (e - h).abs() < 1e-9,
                     "seed {seed} row {i}: exact {e} hist {h}"

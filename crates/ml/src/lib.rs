@@ -12,6 +12,8 @@
 //!   and column selection,
 //! * [`RegressionTree`] — CART with variance-reduction splits,
 //! * [`Sgbrt`] — the boosted ensemble with subsampling and shrinkage,
+//! * [`Refitter`] — refits on shrinking column subsets (the EIR rounds)
+//!   that take over the previous fit's trees where that is exact,
 //! * [`metrics`] — MSE and the paper's relative-error measure (Eq. 14).
 //!
 //! # Examples
@@ -44,5 +46,5 @@ mod tree;
 pub use binning::{BinnedDataset, BinnedView, MAX_BINS};
 pub use dataset::Dataset;
 pub use error::MlError;
-pub use gbrt::{cross_validate, FoldedForest, Sgbrt, SgbrtConfig, Trainer};
+pub use gbrt::{cross_validate, FoldedForest, Refitter, Sgbrt, SgbrtConfig, Trainer};
 pub use tree::{RegressionTree, TreeConfig};

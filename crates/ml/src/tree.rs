@@ -165,14 +165,10 @@ impl RegressionTree {
     }
 
     /// Assembles a tree from prebuilt nodes (children pushed before
-    /// their parent, root last) — the histogram grower's constructor.
+    /// their parent, root last) — how a histogram-grown tree leaves code
+    /// space.
     pub(crate) fn from_nodes(nodes: Vec<Node>, n_features: usize) -> Self {
         RegressionTree { nodes, n_features }
-    }
-
-    /// Appends a node, returning its id (see [`RegressionTree::from_nodes`]).
-    pub(crate) fn push_node(&mut self, node: Node) -> usize {
-        self.push(node)
     }
 
     fn push(&mut self, node: Node) -> usize {

@@ -105,3 +105,51 @@ fn noise_events_lose_to_dominant_events() {
         "{noise_better} pure-noise events outranked the dominant event"
     );
 }
+
+/// Golden pin of `analyze` across the whole suite: the FNV-1a digest of
+/// each report's `Debug` text, folded over all 16 benchmarks. Every
+/// analysis runs three EIR rounds (40, 30 and 20 events), so rounds
+/// after the first train next to the previous round's forest. `f64`
+/// debug-prints its shortest round-trip form, so an equal digest means
+/// bit-equal reports: rankings, error curves, MAPM trees and
+/// interactions. Recorded before EIR rounds took over the previous
+/// round's leading trees, which the run must now do; an exact change to
+/// training must keep the digest.
+#[test]
+fn suite_analyses_match_golden_digest() {
+    let config = MinerConfig {
+        runs_per_benchmark: 1,
+        events_to_measure: Some(40),
+        importance: ImportanceConfig {
+            sgbrt: SgbrtConfig {
+                n_trees: 30,
+                ..SgbrtConfig::default()
+            },
+            ..ImportanceConfig::default()
+        },
+        interaction_top_k: 4,
+        seed: 23,
+        ..MinerConfig::default()
+    };
+    let miner = CounterMiner::new(config);
+    cm_obs::set_mode(cm_obs::Mode::Summary);
+    cm_obs::Registry::global().drain();
+    let mut digests = Vec::new();
+    for threads in [1, 2] {
+        cm_par::set_max_threads(threads);
+        let mut digest = cm_par::rng::FNV1A_OFFSET;
+        for benchmark in cm_sim::ALL_BENCHMARKS {
+            let report = miner.analyze(benchmark).unwrap();
+            let rounds: Vec<usize> = report.eir.iterations.iter().map(|i| i.n_events).collect();
+            assert_eq!(rounds, [40, 30, 20], "{benchmark:?}");
+            digest = cm_par::rng::fnv1a_extend(digest, format!("{report:?}").as_bytes());
+        }
+        digests.push(digest);
+    }
+    cm_par::set_max_threads(0);
+    let counters = cm_obs::Registry::global().drain().counters;
+    cm_obs::set_mode(cm_obs::Mode::Off);
+    assert_eq!(digests, [0x8e07_baa1_b68f_0ee2; 2], "{digests:#x?}");
+    let reused = counters.get("ml.trees_reused").copied().unwrap_or(0);
+    assert!(reused > 0, "no EIR round took a tree over: {counters:?}");
+}
