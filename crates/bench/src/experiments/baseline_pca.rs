@@ -13,7 +13,7 @@ use super::common::{analyze_benchmarks, ExpConfig};
 use cm_events::EventCatalog;
 use cm_sim::{Benchmark, HIBENCH};
 use cm_stats::pca::Pca;
-use counterminer::{collector, CmError, DataCleaner};
+use counterminer::{clean_runs, collector, CleanerKind, CmError, DataCleaner};
 use std::fmt;
 
 /// Per-benchmark ranking quality for both methods.
@@ -130,7 +130,8 @@ pub fn run(cfg: &ExpConfig) -> Result<BaselinePcaResult, CmError> {
             cfg.seed ^ 0xBEEF,
         );
         let ids: Vec<cm_events::EventId> = events.iter().collect();
-        let data = collector::build_dataset(&runs, &ids, Some(&cleaner))?;
+        let cleaned = clean_runs(&cleaner, CleanerKind::Point, &runs)?;
+        let data = collector::build_dataset(&cleaned.runs, &ids)?;
         let data = collector::normalize_columns(&data)?;
         // The baseline only needs the leading components for a ranking;
         // a rank-deficient run should yield fewer, not fail.

@@ -17,7 +17,7 @@ use cm_ml::metrics;
 use cm_par::Rng;
 use cm_sim::{Benchmark, Workload};
 use counterminer::case_study::ProfilingCostModel;
-use counterminer::{collector, CmError, DataCleaner};
+use counterminer::{clean_runs, collector, CleanerKind, CmError, DataCleaner};
 use std::fmt;
 
 /// Cost rows plus the empirical accuracy curve.
@@ -101,8 +101,8 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig15Result, CmError> {
         cfg.seed,
     );
     let ids: Vec<EventId> = events.iter().collect();
-    let cleaner = DataCleaner::default();
-    let data = collector::build_dataset(&runs, &ids, Some(&cleaner))?;
+    let cleaned = clean_runs(&DataCleaner::default(), CleanerKind::Point, &runs)?;
+    let data = collector::build_dataset(&cleaned.runs, &ids)?;
     let data = collector::normalize_columns(&data)?;
 
     // Hold out a fixed test set, then train on growing prefixes.

@@ -9,7 +9,7 @@
 use super::common::{miner_config, ExpConfig};
 use cm_events::{EventCatalog, EventId, EventSet};
 use cm_sim::{Benchmark, ColocatedWorkload, PmuConfig, SimRun};
-use counterminer::{collector, CmError, DataCleaner, ImportanceRanker};
+use counterminer::{clean_runs, collector, CleanerKind, CmError, DataCleaner, ImportanceRanker};
 use std::fmt;
 
 /// One co-location scenario's importance ranking.
@@ -95,8 +95,8 @@ fn analyze_pair(
         .collect();
 
     let ids: Vec<EventId> = events.iter().collect();
-    let cleaner = DataCleaner::default();
-    let data = collector::build_dataset(&runs, &ids, Some(&cleaner))?;
+    let cleaned = clean_runs(&DataCleaner::default(), CleanerKind::Point, &runs)?;
+    let data = collector::build_dataset(&cleaned.runs, &ids)?;
     let data = collector::normalize_columns(&data)?;
     let eir = ImportanceRanker::new(miner_cfg.importance).rank(&data, &ids)?;
 

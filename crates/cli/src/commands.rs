@@ -1274,8 +1274,8 @@ pub fn colocate(args: &Args) -> CmdResult {
         })
         .collect();
     let ids: Vec<cm_events::EventId> = events.iter().collect();
-    let cleaner = DataCleaner::default();
-    let data = collector::build_dataset(&runs, &ids, Some(&cleaner))?;
+    let cleaned = counterminer::clean_runs(&DataCleaner::default(), CleanerKind::Point, &runs)?;
+    let data = collector::build_dataset(&cleaned.runs, &ids)?;
     let data = collector::normalize_columns(&data)?;
     let eir = counterminer::ImportanceRanker::new(ImportanceConfig {
         sgbrt: SgbrtConfig {

@@ -21,13 +21,12 @@
 //! `cluster.runs`, `cluster.injected`, `cluster.anomalies` — all counts,
 //! bit-identical at any `CM_THREADS`.
 
-use crate::{snapshot, CmError, CounterMiner, DataCleaner};
-use cm_events::{EventId, RunRecord};
+use crate::{clean_runs, snapshot, CleanerKind, CmError, CounterMiner, DataCleaner};
+use cm_events::EventId;
 use cm_sim::{Benchmark, SimRun, Workload};
 use cm_stats::cluster::{k_medoids, pairwise_distances, SignatureDistance};
 use cm_stats::descriptive;
 use cm_store::Store;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Run indices of injected anomalous runs start here, far above any
@@ -375,34 +374,22 @@ impl CounterMiner {
             .map(|&b| {
                 let workload = Workload::new(b, self.catalog());
                 let events = self.resolve_events(b);
-                (0..count)
+                let measured: Vec<SimRun> = (0..count)
                     .map(|i| {
                         let idx = INJECT_BASE + i as u32;
                         let truth = workload.anomalous_run(idx, self.config().seed);
-                        let run = self.config().pmu.measure_mlpx(
+                        self.config().pmu.measure_mlpx(
                             &workload,
                             &truth,
                             &events,
                             idx,
                             self.config().seed,
-                        );
-                        let mut record = RunRecord::new(
-                            run.record.program(),
-                            run.record.run_index(),
-                            run.record.mode(),
-                        );
-                        record.set_exec_time_secs(run.record.exec_time_secs());
-                        for (event, series) in run.record.iter() {
-                            let (clean, _) = cleaner.clean_series(series)?;
-                            record.insert_series(event, clean);
-                        }
-                        Ok(SimRun {
-                            record,
-                            ipc: run.ipc.clone(),
-                            true_counts: BTreeMap::new(),
-                        })
+                        )
                     })
-                    .collect()
+                    .collect();
+                // Signatures read cleaned values only, which both kinds
+                // reconstruct identically; the point cleaner is enough.
+                Ok(clean_runs(&cleaner, CleanerKind::Point, &measured)?.runs)
             })
             .collect()
     }

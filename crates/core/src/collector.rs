@@ -1,7 +1,7 @@
 //! The data collector (Section III-A): drives the (simulated) profiler
 //! and assembles model-training datasets from measured runs.
 
-use crate::{CmError, DataCleaner};
+use crate::CmError;
 use cm_events::{EventId, EventSet, SampleMode};
 use cm_ml::Dataset;
 use cm_sim::{PmuConfig, SimRun, Workload};
@@ -25,37 +25,29 @@ pub fn collect_runs(
 /// interval, one column per event in `events` order, target = measured
 /// IPC of that interval.
 ///
-/// When a cleaner is supplied, every event series is cleaned first
-/// (the paper's pipeline order: clean, then model).
+/// The paper's pipeline cleans first, then models: pass runs cleaned by
+/// [`crate::clean_runs`].
 ///
 /// # Errors
 ///
 /// Returns [`CmError::Invalid`] when `runs` is empty or an event was not
-/// measured in some run; propagates cleaning errors.
-pub fn build_dataset(
-    runs: &[SimRun],
-    events: &[EventId],
-    cleaner: Option<&DataCleaner>,
-) -> Result<Dataset, CmError> {
+/// measured in some run.
+pub fn build_dataset(runs: &[SimRun], events: &[EventId]) -> Result<Dataset, CmError> {
     if runs.is_empty() {
         return Err(CmError::Invalid("need at least one run to build a dataset"));
     }
     let mut rows = Vec::new();
     let mut targets = Vec::new();
     for run in runs {
-        // Column-wise (per-event) cleaned series for this run.
-        let mut columns = Vec::with_capacity(events.len());
-        for &event in events {
-            let series = run
-                .record
-                .series(event)
-                .ok_or(CmError::Invalid("event missing from a run record"))?;
-            let values = match cleaner {
-                Some(c) => c.clean_series(series)?.0.into_values(),
-                None => series.values().to_vec(),
-            };
-            columns.push(values);
-        }
+        let columns = events
+            .iter()
+            .map(|&event| {
+                run.record
+                    .series(event)
+                    .map(|series| series.values())
+                    .ok_or(CmError::Invalid("event missing from a run record"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let n = run.ipc.len();
         for t in 0..n {
             let row: Vec<f64> = columns.iter().map(|col| col[t]).collect();
@@ -157,6 +149,7 @@ pub fn normalize_columns(data: &Dataset) -> Result<Dataset, CmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CleanerKind, DataCleaner};
     use cm_events::EventCatalog;
     use cm_sim::Benchmark;
 
@@ -172,7 +165,7 @@ mod tests {
         let events = w.top_event_ids(&c, 5);
         let runs = collect_runs(&w, &events, SampleMode::Mlpx, 2, &pmu, 2);
         let ids: Vec<EventId> = events.iter().collect();
-        let data = build_dataset(&runs, &ids, None).unwrap();
+        let data = build_dataset(&runs, &ids).unwrap();
         let expected: usize = runs.iter().map(|r| r.intervals()).sum();
         assert_eq!(data.n_rows(), expected);
         assert_eq!(data.n_features(), 5);
@@ -184,9 +177,10 @@ mod tests {
         let events = w.top_event_ids(&c, 12); // multiplexed -> dirty
         let runs = collect_runs(&w, &events, SampleMode::Mlpx, 1, &pmu, 3);
         let ids: Vec<EventId> = events.iter().collect();
-        let raw = build_dataset(&runs, &ids, None).unwrap();
-        let cleaner = DataCleaner::default();
-        let clean = build_dataset(&runs, &ids, Some(&cleaner)).unwrap();
+        let raw = build_dataset(&runs, &ids).unwrap();
+        let cleaned =
+            crate::clean_runs(&DataCleaner::default(), CleanerKind::Point, &runs).unwrap();
+        let clean = build_dataset(&cleaned.runs, &ids).unwrap();
         assert_eq!(raw.n_rows(), clean.n_rows());
         assert_ne!(raw.rows(), clean.rows());
     }
@@ -197,8 +191,8 @@ mod tests {
         let events = w.top_event_ids(&c, 3);
         let runs = collect_runs(&w, &events, SampleMode::Ocoe, 1, &pmu, 4);
         let bogus = vec![EventId::new(200)];
-        assert!(build_dataset(&runs, &bogus, None).is_err());
-        assert!(build_dataset(&[], &bogus, None).is_err());
+        assert!(build_dataset(&runs, &bogus).is_err());
+        assert!(build_dataset(&[], &bogus).is_err());
     }
 
     #[test]

@@ -62,25 +62,6 @@ pub fn mlpx_error(
     Ok((1.0 - dist_ref / dist_mea).abs() * 100.0)
 }
 
-/// Average MLPX error over many `(ocoe1, ocoe2, mlpx)` triples, in
-/// percent. Convenience for the per-benchmark bars of Figs. 1, 6, 7.
-///
-/// # Errors
-///
-/// Returns [`CmError::Invalid`] when `triples` is empty or any triple is
-/// degenerate.
-pub fn mean_mlpx_error(
-    triples: &[(&TimeSeries, &TimeSeries, &TimeSeries)],
-) -> Result<f64, CmError> {
-    if triples.is_empty() {
-        return Err(CmError::Invalid("no error triples supplied"));
-    }
-    // Each triple costs two DTW passes; fan them out. `try_map` keeps
-    // input order, so the summation order (and the mean) is unchanged.
-    let errors = cm_par::try_map(triples, |&(a, b, m)| mlpx_error(a, b, m))?;
-    Ok(errors.iter().sum::<f64>() / triples.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,15 +104,5 @@ mod tests {
         assert!(mlpx_error(&empty, &good, &good).is_err());
         assert!(mlpx_error(&good, &empty, &good).is_err());
         assert!(mlpx_error(&good, &good, &empty).is_err());
-    }
-
-    #[test]
-    fn mean_over_triples() {
-        let a = ts(&[1.0, 2.0]);
-        let b = ts(&[1.0, 2.0]);
-        let m = ts(&[1.0, 2.0]);
-        let mean = mean_mlpx_error(&[(&a, &b, &m), (&a, &b, &m)]).unwrap();
-        assert_eq!(mean, 0.0);
-        assert!(mean_mlpx_error(&[]).is_err());
     }
 }

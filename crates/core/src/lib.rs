@@ -22,8 +22,9 @@
 //!    store and builds training datasets,
 //! 6. [`case_study`] — the Spark-tuning profiling-cost accounting of
 //!    Section V-D (method A vs. method B),
-//! 7. [`CounterMiner`] — the end-to-end pipeline facade, including the
-//!    cross-benchmark `cluster` mode
+//! 7. [`CounterMiner`] — the end-to-end pipeline facade over one front
+//!    half ([`clean_runs`]) and one back half ([`model_and_rank`]),
+//!    including the cross-benchmark `cluster` mode
 //!    ([`CounterMiner::analyze_cluster`]) that groups runs by cleaned
 //!    counter signature and flags anomalous runs.
 //!
@@ -59,6 +60,7 @@ pub mod collector;
 pub mod error_metrics;
 mod errors;
 pub mod findings;
+mod front;
 pub mod import;
 mod importance;
 mod interaction;
@@ -75,9 +77,10 @@ pub use cleaner::{
     VARIANCE_CALIBRATION,
 };
 pub use errors::CmError;
+pub use front::{clean_runs, CleanTally, CleanedRuns};
 pub use importance::{
     EirIteration, EirResult, ImportanceConfig, ImportanceRanker, RankUncertainty,
 };
 pub use interaction::{InteractionRanker, PairInteraction};
-pub use pipeline::{AnalysisReport, CounterMiner, IngestSummary, MinerConfig};
+pub use pipeline::{model_and_rank, AnalysisReport, CounterMiner, IngestSummary, MinerConfig};
 pub use uncertainty::VarianceAggregate;

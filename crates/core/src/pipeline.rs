@@ -3,13 +3,13 @@
 //! ranker → interaction ranker.
 
 use crate::{
-    collector, snapshot, CleanerConfig, CleanerKind, CmError, DataCleaner, EirResult,
-    ImportanceConfig, ImportanceRanker, InteractionRanker, PairInteraction, VarianceAggregate,
+    collector, front, snapshot, CleanedRuns, CleanerConfig, CleanerKind, CmError, DataCleaner,
+    EirResult, ImportanceConfig, ImportanceRanker, InteractionRanker, PairInteraction,
+    VarianceAggregate,
 };
-use cm_events::{EventCatalog, EventId, RunRecord, SampleMode};
+use cm_events::{EventCatalog, SampleMode};
 use cm_sim::{Benchmark, PmuConfig, SimRun, Workload};
 use cm_store::Store;
-use std::collections::BTreeMap;
 
 /// Pipeline configuration.
 ///
@@ -209,51 +209,17 @@ impl CounterMiner {
         let _analyze = cm_obs::span!("analyze", benchmark = benchmark.name());
         cm_obs::counter_add("pipeline.analyses", 1);
 
-        let runs = {
-            let _s = cm_obs::span!("collect");
-            self.collect(benchmark)
-        };
-        let events: Vec<EventId> = runs[0].record.events().collect();
-
-        // Clean per-series and tally what the cleaner did. In bayes
-        // mode, also fold every series' reconstruction variances into
-        // per-event column aggregates (merged in run order, so the sums
-        // are reproducible at any thread count).
-        let cleaner = DataCleaner::new(self.config.cleaner);
-        let mut outliers_replaced = 0;
-        let mut missing_filled = 0;
-        let mut uncertainty: Option<Vec<VarianceAggregate>> = match self.config.cleaner_kind {
-            CleanerKind::Bayes => Some(vec![VarianceAggregate::default(); events.len()]),
-            CleanerKind::Point => None,
-        };
-        {
+        // The raw runs drop at the end of this block, so they are not
+        // held beside the datasets the back half builds.
+        let front = {
+            let runs = {
+                let _s = cm_obs::span!("collect");
+                self.collect(benchmark)
+            };
             let _s = cm_obs::span!("clean");
-            for run in &runs {
-                for (column, (_, series)) in run.record.iter().enumerate() {
-                    let report = match uncertainty.as_mut() {
-                        Some(aggregates) => {
-                            let (clean, report, series_uncertainty) =
-                                cleaner.clean_series_bayes(series)?;
-                            aggregates[column]
-                                .merge(&VarianceAggregate::of_series(&clean, &series_uncertainty));
-                            report
-                        }
-                        None => cleaner.clean_series(series)?.1,
-                    };
-                    outliers_replaced += report.outliers_replaced;
-                    missing_filled += report.missing_filled;
-                }
-            }
-        }
-
-        let front = snapshot::Snapshot {
-            runs,
-            events,
-            outliers_replaced,
-            missing_filled,
-            uncertainty,
+            self.clean(&runs)?
         };
-        self.model_and_rank(benchmark, &front, Some(&cleaner))
+        model_and_rank(&self.config, benchmark, &front)
     }
 
     /// Runs the pipeline against a persistent [`Store`], resuming from a
@@ -303,7 +269,7 @@ impl CounterMiner {
                 self.collect_and_persist(benchmark, fp, store)?
             }
         };
-        self.model_and_rank(benchmark, &snap, None)
+        model_and_rank(&self.config, benchmark, &snap)
     }
 
     /// The snapshot fingerprint the store-backed paths probe for: a hash
@@ -349,7 +315,7 @@ impl CounterMiner {
         };
         cm_obs::counter_add("pipeline.analyses", 1);
         cm_obs::counter_add("pipeline.resume.hits", 1);
-        self.model_and_rank(benchmark, &snap, None).map(Some)
+        model_and_rank(&self.config, benchmark, &snap).map(Some)
     }
 
     /// Collects and cleans a benchmark and persists the snapshot into
@@ -380,146 +346,98 @@ impl CounterMiner {
             resumed,
             runs: snap.runs.len(),
             events: snap.events.len(),
-            outliers_replaced: snap.outliers_replaced,
-            missing_filled: snap.missing_filled,
+            outliers_replaced: snap.tally.outliers_replaced,
+            missing_filled: snap.tally.missing_filled,
         })
     }
 
-    /// The cold front half of the store-backed pipeline: collect exactly
-    /// as `analyze` does, clean, and commit the snapshot. Returns the
-    /// snapshot *re-read from the store*, so the cold path exercises the
-    /// exact code the warm path will, and a store that cannot round-trip
-    /// fails loudly on day one.
+    /// The cold front half of the store-backed pipeline: collect and
+    /// clean exactly as `analyze` does, and commit the snapshot. Returns
+    /// the snapshot *re-read from the store*, so the cold path exercises
+    /// the exact code the warm path will, and a store that cannot
+    /// round-trip fails loudly on day one.
     fn collect_and_persist(
         &self,
         benchmark: Benchmark,
         fp: u64,
         store: &mut Store,
-    ) -> Result<snapshot::Snapshot, CmError> {
+    ) -> Result<CleanedRuns, CmError> {
         let runs = {
             let _s = cm_obs::span!("collect");
             self.collect(benchmark)
         };
-        let events: Vec<EventId> = runs[0].record.events().collect();
-
-        // Clean every series once, up front, so the cleaned values can
-        // be persisted; `analyze` instead cleans inside the dataset
-        // builder, but the cleaner is deterministic so both orders
-        // produce identical datasets.
-        let cleaner = DataCleaner::new(self.config.cleaner);
-        let mut outliers_replaced = 0;
-        let mut missing_filled = 0;
-        let mut uncertainty: Option<Vec<VarianceAggregate>> = match self.config.cleaner_kind {
-            CleanerKind::Bayes => Some(vec![VarianceAggregate::default(); events.len()]),
-            CleanerKind::Point => None,
-        };
-        let cleaned: Vec<SimRun> = {
+        let cleaned = {
             let _s = cm_obs::span!("clean");
-            runs.iter()
-                .map(|run| {
-                    let mut record = RunRecord::new(
-                        run.record.program(),
-                        run.record.run_index(),
-                        run.record.mode(),
-                    );
-                    record.set_exec_time_secs(run.record.exec_time_secs());
-                    for (column, (event, series)) in run.record.iter().enumerate() {
-                        let (clean, report) = match uncertainty.as_mut() {
-                            Some(aggregates) => {
-                                let (clean, report, series_uncertainty) =
-                                    cleaner.clean_series_bayes(series)?;
-                                aggregates[column].merge(&VarianceAggregate::of_series(
-                                    &clean,
-                                    &series_uncertainty,
-                                ));
-                                (clean, report)
-                            }
-                            None => cleaner.clean_series(series)?,
-                        };
-                        outliers_replaced += report.outliers_replaced;
-                        missing_filled += report.missing_filled;
-                        record.insert_series(event, clean);
-                    }
-                    Ok(SimRun {
-                        record,
-                        ipc: run.ipc.clone(),
-                        true_counts: BTreeMap::new(),
-                    })
-                })
-                .collect::<Result<_, CmError>>()?
+            self.clean(&runs)?
         };
-
         let _s = cm_obs::span!("persist");
-        let snap = snapshot::Snapshot {
-            runs: cleaned,
-            events,
-            outliers_replaced,
-            missing_filled,
-            uncertainty,
-        };
-        snapshot::save(store, benchmark, fp, &runs, &snap)?;
+        snapshot::save(store, benchmark, fp, &runs, &cleaned)?;
         store.commit()?;
         snapshot::load(store, benchmark, fp)?.ok_or(CmError::Invalid(
             "snapshot vanished immediately after commit",
         ))
     }
 
-    /// The shared back half of the pipeline: dataset assembly, EIR
-    /// importance ranking, and interaction ranking over the front half's
-    /// result. `cleaner` is `Some` when `front.runs` are raw (the
-    /// in-memory path) and `None` when they were cleaned already (the
-    /// store-backed paths).
-    fn model_and_rank(
-        &self,
-        benchmark: Benchmark,
-        front: &snapshot::Snapshot,
-        cleaner: Option<&DataCleaner>,
-    ) -> Result<AnalysisReport, CmError> {
-        let (runs, events) = (&front.runs, &front.events);
-        let data = {
-            let _s = cm_obs::span!("dataset");
-            let data = collector::build_dataset(runs, events, cleaner)?;
-            let data = collector::aggregate_windows(&data, self.config.aggregation_window)?;
-            collector::normalize_columns(&data)?
-        };
-
-        let column_uncertainty: Option<Vec<f64>> = front.uncertainty.as_ref().map(|aggregates| {
-            let total_variance: f64 = aggregates.iter().map(|a| a.sum_variance).sum();
-            let reconstructed: u64 = aggregates.iter().map(|a| a.reconstructed).sum();
-            // One point per analysis: how much uncertainty the cleaner
-            // injected, against how many values it reconstructed.
-            cm_obs::series_push("clean.variance.total", reconstructed as f64, total_variance);
-            aggregates
-                .iter()
-                .map(VarianceAggregate::relative_uncertainty)
-                .collect()
-        });
-
-        let ranker = ImportanceRanker::new(self.config.importance);
-        let eir = {
-            let _s = cm_obs::span!("eir");
-            ranker.rank_with_uncertainty(&data, events, column_uncertainty.as_deref())?
-        };
-
-        let interactions = {
-            let _s = cm_obs::span!("interactions");
-            InteractionRanker::new().rank_top_additive(
-                &eir,
-                events,
-                &data,
-                self.config.interaction_top_k,
-            )?
-        };
-
-        Ok(AnalysisReport {
-            benchmark,
-            cleaner: self.config.cleaner_kind,
-            eir,
-            interactions,
-            outliers_replaced: front.outliers_replaced,
-            missing_filled: front.missing_filled,
-        })
+    /// The front half under this configuration's cleaner and kind.
+    fn clean(&self, runs: &[SimRun]) -> Result<CleanedRuns, CmError> {
+        let cleaner = DataCleaner::new(self.config.cleaner);
+        front::clean_runs(&cleaner, self.config.cleaner_kind, runs)
     }
+}
+
+/// The back half of the pipeline, shared by every analyze path and the
+/// streaming session: dataset assembly, window aggregation and
+/// normalization, EIR importance ranking (with `bayes` uncertainty
+/// folded in) and interaction ranking over the front half's cleaned
+/// runs.
+///
+/// # Errors
+///
+/// Propagates dataset, training, and ranking failures.
+pub fn model_and_rank(
+    config: &MinerConfig,
+    benchmark: Benchmark,
+    front: &CleanedRuns,
+) -> Result<AnalysisReport, CmError> {
+    let (runs, events) = (&front.runs, &front.events);
+    let data = {
+        let _s = cm_obs::span!("dataset");
+        let data = collector::build_dataset(runs, events)?;
+        let data = collector::aggregate_windows(&data, config.aggregation_window)?;
+        collector::normalize_columns(&data)?
+    };
+
+    let column_uncertainty: Option<Vec<f64>> = front.uncertainty.as_ref().map(|aggregates| {
+        let total_variance: f64 = aggregates.iter().map(|a| a.sum_variance).sum();
+        let reconstructed: u64 = aggregates.iter().map(|a| a.reconstructed).sum();
+        // One point per analysis: how much uncertainty the cleaner
+        // injected, against how many values it reconstructed.
+        cm_obs::series_push("clean.variance.total", reconstructed as f64, total_variance);
+        aggregates
+            .iter()
+            .map(VarianceAggregate::relative_uncertainty)
+            .collect()
+    });
+
+    let ranker = ImportanceRanker::new(config.importance);
+    let eir = {
+        let _s = cm_obs::span!("eir");
+        ranker.rank_with_uncertainty(&data, events, column_uncertainty.as_deref())?
+    };
+
+    let interactions = {
+        let _s = cm_obs::span!("interactions");
+        InteractionRanker::new().rank_top_additive(&eir, events, &data, config.interaction_top_k)?
+    };
+
+    Ok(AnalysisReport {
+        benchmark,
+        cleaner: config.cleaner_kind,
+        eir,
+        interactions,
+        outliers_replaced: front.tally.outliers_replaced,
+        missing_filled: front.tally.missing_filled,
+    })
 }
 
 #[cfg(test)]

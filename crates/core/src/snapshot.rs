@@ -23,7 +23,7 @@
 //! snapshots for different configurations coexist in one store file.
 
 use crate::uncertainty::{decode_aggregates, encode_aggregates};
-use crate::{CleanerKind, CmError, MinerConfig, VarianceAggregate};
+use crate::{CleanTally, CleanedRuns, CleanerKind, CmError, MinerConfig};
 use cm_events::{EventId, RunRecord, SampleMode};
 use cm_par::rng::{fnv1a_extend, FNV1A_OFFSET};
 use cm_sim::{Benchmark, SimRun};
@@ -33,28 +33,6 @@ use std::collections::BTreeMap;
 /// All snapshot series are stored under the multiplexed mode — that is
 /// the only mode the pipeline collects in.
 const SNAPSHOT_MODE: SampleMode = SampleMode::Mlpx;
-
-/// A front-half pipeline result: what `analyze` collected, or what the
-/// store-backed paths restored from (or are about to commit to) the
-/// columnar store. The model half takes it as one value.
-pub(crate) struct Snapshot {
-    /// The runs, IPC attached: raw in `analyze` (the model half cleans
-    /// them), cleaned everywhere else. Restored runs have empty
-    /// `true_counts` (ground truth is a simulation artifact and is not
-    /// persisted).
-    pub runs: Vec<SimRun>,
-    /// The measured events, in dataset column order.
-    pub events: Vec<EventId>,
-    /// Total outliers the cleaner replaced when the snapshot was made.
-    pub outliers_replaced: usize,
-    /// Total missing values the cleaner filled when the snapshot was made.
-    pub missing_filled: usize,
-    /// Per-event column variance aggregates, present when the snapshot
-    /// was ingested in `bayes` mode (same order as `events`). Persisted
-    /// bit-exactly so a warm bayes run replays the cold run's
-    /// uncertainty byte for byte.
-    pub uncertainty: Option<Vec<VarianceAggregate>>,
-}
 
 /// Fingerprints every knob that influences collection and cleaning,
 /// plus the *resolved* event set the collector will measure.
@@ -128,7 +106,7 @@ pub(crate) fn save(
     benchmark: Benchmark,
     fp: u64,
     raw: &[SimRun],
-    snapshot: &Snapshot,
+    snapshot: &CleanedRuns,
 ) -> Result<(), CmError> {
     let raw_program = raw_ns(benchmark, fp);
     let cleaned_program = cleaned_ns(benchmark, fp);
@@ -158,11 +136,11 @@ pub(crate) fn save(
     store.set_meta(meta_key(benchmark, "runs"), snapshot.runs.len().to_string());
     store.set_meta(
         meta_key(benchmark, "outliers"),
-        snapshot.outliers_replaced.to_string(),
+        snapshot.tally.outliers_replaced.to_string(),
     );
     store.set_meta(
         meta_key(benchmark, "missing"),
-        snapshot.missing_filled.to_string(),
+        snapshot.tally.missing_filled.to_string(),
     );
     let kind = if snapshot.uncertainty.is_some() {
         CleanerKind::Bayes
@@ -201,7 +179,7 @@ pub(crate) fn load(
     store: &Store,
     benchmark: Benchmark,
     fp: u64,
-) -> Result<Option<Snapshot>, CmError> {
+) -> Result<Option<CleanedRuns>, CmError> {
     match store.meta(&meta_key(benchmark, "fingerprint")) {
         Some(stored) if stored == format!("{fp:016x}") => {}
         _ => return Ok(None),
@@ -264,11 +242,13 @@ pub(crate) fn load(
             true_counts: BTreeMap::new(),
         });
     }
-    Ok(Some(Snapshot {
+    Ok(Some(CleanedRuns {
         runs,
         events,
-        outliers_replaced,
-        missing_filled,
+        tally: CleanTally {
+            outliers_replaced,
+            missing_filled,
+        },
         uncertainty,
     }))
 }
@@ -276,6 +256,7 @@ pub(crate) fn load(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VarianceAggregate;
     use cm_events::TimeSeries as Ts;
 
     /// Fingerprints key every committed snapshot, so they must not move:
@@ -388,11 +369,13 @@ mod tests {
             },
             VarianceAggregate::default(),
         ];
-        let snap = Snapshot {
+        let snap = CleanedRuns {
             runs: vec![sim_run("wordcount", 0, &[1.0, 2.0])],
             events: vec![EventId::new(3), EventId::new(7)],
-            outliers_replaced: 1,
-            missing_filled: 1,
+            tally: CleanTally {
+                outliers_replaced: 1,
+                missing_filled: 1,
+            },
             uncertainty: Some(aggregates.clone()),
         };
         save(&mut store, Benchmark::Wordcount, fp, &raw, &snap).unwrap();
@@ -415,11 +398,13 @@ mod tests {
         let mut store = temp_store("roundtrip");
         let fp = 0xDEAD_BEEF;
         let raw = vec![sim_run("wordcount", 0, &[900.0, 905.5, 890.0])];
-        let snap = Snapshot {
+        let snap = CleanedRuns {
             runs: vec![sim_run("wordcount", 0, &[900.0, 901.0, 899.0])],
             events: vec![EventId::new(3), EventId::new(7)],
-            outliers_replaced: 2,
-            missing_filled: 1,
+            tally: CleanTally {
+                outliers_replaced: 2,
+                missing_filled: 1,
+            },
             uncertainty: None,
         };
         save(&mut store, Benchmark::Wordcount, fp, &raw, &snap).unwrap();
@@ -427,8 +412,8 @@ mod tests {
 
         let loaded = load(&store, Benchmark::Wordcount, fp).unwrap().unwrap();
         assert_eq!(loaded.events, snap.events);
-        assert_eq!(loaded.outliers_replaced, 2);
-        assert_eq!(loaded.missing_filled, 1);
+        assert_eq!(loaded.tally.outliers_replaced, 2);
+        assert_eq!(loaded.tally.missing_filled, 1);
         assert_eq!(loaded.runs.len(), 1);
         assert_eq!(
             loaded.runs[0]
@@ -452,11 +437,13 @@ mod tests {
         let mut store = temp_store("coexist");
         for fp in [1u64, 2u64] {
             let raw = vec![sim_run("wordcount", 0, &[1.0, 2.0])];
-            let snap = Snapshot {
+            let snap = CleanedRuns {
                 runs: vec![sim_run("wordcount", 0, &[1.0, 2.0])],
                 events: vec![EventId::new(3), EventId::new(7)],
-                outliers_replaced: 0,
-                missing_filled: 0,
+                tally: CleanTally {
+                    outliers_replaced: 0,
+                    missing_filled: 0,
+                },
                 uncertainty: None,
             };
             save(&mut store, Benchmark::Wordcount, fp, &raw, &snap).unwrap();

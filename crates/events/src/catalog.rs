@@ -126,11 +126,6 @@ impl EventInfo {
     pub fn is_l2_related(&self) -> bool {
         self.name.starts_with("L2_")
     }
-
-    /// Returns `true` for remote-socket memory or cache events.
-    pub fn is_remote(&self) -> bool {
-        self.name.contains("REMOTE")
-    }
 }
 
 /// The full event catalog of the modeled processor.
@@ -1127,13 +1122,11 @@ mod tests {
     }
 
     #[test]
-    fn branch_and_l2_and_remote_helpers() {
+    fn branch_and_l2_helpers() {
         let c = EventCatalog::haswell();
         assert!(c.by_abbrev(abbrev::BRB).unwrap().is_branch_related());
         assert!(!c.by_abbrev(abbrev::ICM).unwrap().is_branch_related());
         assert!(c.by_abbrev(abbrev::L2H).unwrap().is_l2_related());
-        assert!(c.by_abbrev(abbrev::ORA).unwrap().is_remote());
-        assert!(!c.by_abbrev(abbrev::BRB).unwrap().is_remote());
     }
 
     #[test]

@@ -209,25 +209,6 @@ where
     Ok(out)
 }
 
-/// Parallel in-place map: runs `f(i, &mut items[i])` for every element,
-/// returning the per-element results in index order. Each element is
-/// mutated by exactly one unit, so disjointness is guaranteed by
-/// construction (a per-element lock is taken exactly once and never
-/// contended).
-pub fn map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    use std::sync::Mutex;
-    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    map_range(cells.len(), |i| {
-        let mut guard = cells[i].lock().unwrap_or_else(|e| e.into_inner());
-        f(i, &mut guard)
-    })
-}
-
 /// Splits `0..n` into contiguous chunks of at least `min_chunk`
 /// elements, maps each chunk with `f`, and flattens the per-chunk
 /// results back in order. For kernels (tree prediction, DTW cells) too
@@ -348,22 +329,6 @@ mod tests {
                 map_chunked(1003, 16, |r| r.map(|i| i as u64 * 2).collect())
             });
             assert_eq!(got, (0..1003).map(|i| i * 2).collect::<Vec<u64>>());
-        }
-    }
-
-    #[test]
-    fn map_mut_mutates_every_element_in_place() {
-        for threads in [1, 4] {
-            let mut items: Vec<u64> = (0..300).collect();
-            let old = with_threads(threads, || {
-                map_mut(&mut items, |i, v| {
-                    let before = *v;
-                    *v += i as u64;
-                    before
-                })
-            });
-            assert_eq!(old, (0..300).collect::<Vec<u64>>());
-            assert_eq!(items, (0..300).map(|i| i * 2).collect::<Vec<u64>>());
         }
     }
 

@@ -124,11 +124,6 @@ impl ColocatedWorkload {
         &self.name
     }
 
-    /// Whether the two benchmarks differ.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.heterogeneous
-    }
-
     /// Merged main-effect weight of an event.
     pub fn weight(&self, id: EventId) -> f64 {
         self.weights[id.index()]
@@ -219,7 +214,6 @@ mod tests {
         let c = catalog();
         let solo = Workload::new(Benchmark::DataCaching, &c);
         let pair = ColocatedWorkload::new(Benchmark::DataCaching, Benchmark::DataCaching, &c);
-        assert!(!pair.is_heterogeneous());
         for info in c.iter() {
             let id = info.id();
             assert!(
@@ -234,7 +228,6 @@ mod tests {
     fn heterogeneous_pair_promotes_l2_and_bre() {
         let c = catalog();
         let pair = ColocatedWorkload::new(Benchmark::DataCaching, Benchmark::GraphAnalytics, &c);
-        assert!(pair.is_heterogeneous());
         let bre = c.by_abbrev(abbrev::BRE).unwrap().id();
         let isf = c.by_abbrev(abbrev::ISF).unwrap().id();
         let l2h = c.by_abbrev(abbrev::L2H).unwrap().id();

@@ -44,22 +44,6 @@ pub fn population_variance(data: &[f64]) -> Result<f64, StatsError> {
     Ok(data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64)
 }
 
-/// Sample variance (divides by `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`StatsError::NotEnoughData`] for fewer than two values.
-pub fn sample_variance(data: &[f64]) -> Result<f64, StatsError> {
-    if data.len() < 2 {
-        return Err(StatsError::NotEnoughData {
-            required: 2,
-            available: data.len(),
-        });
-    }
-    let m = mean(data)?;
-    Ok(data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 ///
 /// This is the `std` used in the paper's outlier threshold
@@ -315,7 +299,6 @@ mod tests {
         assert_eq!(mean(&data).unwrap(), 5.0);
         assert_eq!(population_variance(&data).unwrap(), 4.0);
         assert_eq!(std_dev(&data).unwrap(), 2.0);
-        assert!((sample_variance(&data).unwrap() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

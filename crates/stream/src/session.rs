@@ -6,7 +6,7 @@ use cm_events::{EventCatalog, EventId, RunRecord, SampleMode, TimeSeries};
 use cm_sim::{Benchmark, SimRun, Workload};
 use cm_store::{SeriesKey, Store};
 use counterminer::{
-    collector, AnalysisReport, CleanerKind, DataCleaner, ImportanceRanker, InteractionRanker,
+    collector, model_and_rank, AnalysisReport, CleanTally, CleanedRuns, CleanerKind, DataCleaner,
     MinerConfig, VarianceAggregate,
 };
 use std::collections::BTreeMap;
@@ -117,17 +117,13 @@ impl StreamAnalysis {
 /// An owned snapshot of a session's sealed rows, taken by
 /// [`StreamSession::sealed_prefix`]: the cleaned sealed columns as runs,
 /// the sealed cleaning tallies and, in `bayes` mode, the sealed
-/// variance aggregates.
+/// variance aggregates folded into columns in run order.
 #[derive(Debug, Clone)]
 pub struct SealedPrefix {
     miner: MinerConfig,
     benchmark: Benchmark,
-    events: Vec<EventId>,
     sealed_rows: usize,
-    runs: Vec<SimRun>,
-    outliers_replaced: usize,
-    missing_filled: usize,
-    uncertainty: Option<Vec<Vec<VarianceAggregate>>>,
+    front: CleanedRuns,
 }
 
 impl SealedPrefix {
@@ -141,60 +137,22 @@ impl SealedPrefix {
         self.sealed_rows
     }
 
-    /// Trains and ranks on the snapshot: the batch pipeline's modeling
-    /// half, so the result is bit-identical to a cold batch run over the
-    /// same sealed prefix, at any thread count. Touches no session, so it
-    /// may run on any thread. Counts `stream.trains`.
+    /// Trains and ranks on the snapshot through the batch pipeline's
+    /// back half ([`model_and_rank`]), so the result is bit-identical to
+    /// a cold batch run over the same sealed prefix, at any thread
+    /// count. Touches no session, so it may run on any thread. Counts
+    /// `stream.trains`.
     ///
     /// # Errors
     ///
     /// Propagates dataset, training, and ranking failures.
     pub fn analyze(&self) -> Result<StreamAnalysis, StreamError> {
         let _span = cm_obs::span!("stream.analysis", benchmark = self.benchmark.name());
-        let data = collector::build_dataset(&self.runs, &self.events, None)?;
-        let data = collector::aggregate_windows(&data, self.miner.aggregation_window)?;
-        let data = collector::normalize_columns(&data)?;
-
-        // Bayes: fold the per-run aggregates into per-event column
-        // aggregates (run order — deterministic) and rank with them.
-        let column_uncertainty: Option<Vec<f64>> = self.uncertainty.as_ref().map(|per_run| {
-            let mut columns = vec![VarianceAggregate::default(); self.events.len()];
-            for run in per_run {
-                for (column, aggregate) in columns.iter_mut().zip(run) {
-                    column.merge(aggregate);
-                }
-            }
-            let total_variance: f64 = columns.iter().map(|a| a.sum_variance).sum();
-            let reconstructed: u64 = columns.iter().map(|a| a.reconstructed).sum();
-            cm_obs::series_push("clean.variance.total", reconstructed as f64, total_variance);
-            columns
-                .iter()
-                .map(VarianceAggregate::relative_uncertainty)
-                .collect()
-        });
-
-        let ranker = ImportanceRanker::new(self.miner.importance);
-        let eir =
-            ranker.rank_with_uncertainty(&data, &self.events, column_uncertainty.as_deref())?;
-
-        let interactions = InteractionRanker::new().rank_top_additive(
-            &eir,
-            &self.events,
-            &data,
-            self.miner.interaction_top_k,
-        )?;
-
+        let report = model_and_rank(&self.miner, self.benchmark, &self.front)?;
         cm_obs::counter_add("stream.trains", 1);
         Ok(StreamAnalysis {
             sealed_rows: self.sealed_rows,
-            report: AnalysisReport {
-                benchmark: self.benchmark,
-                cleaner: self.miner.cleaner_kind,
-                eir,
-                interactions,
-                outliers_replaced: self.outliers_replaced,
-                missing_filled: self.missing_filled,
-            },
+            report,
         })
     }
 }
@@ -241,8 +199,8 @@ pub struct StreamSession {
     sealed_blocks: usize,
     /// Cleaned values: `clean[run][event_pos]`.
     clean: Vec<Vec<CleanColumn>>,
-    sealed_outliers: usize,
-    sealed_missing: usize,
+    /// What the cleaner did over the sealed blocks.
+    sealed_tally: CleanTally,
     /// `bayes` mode only: reconstruction-variance aggregates over the
     /// sealed prefix, `uncertainty[run][event_pos]`. Blocks fold in
     /// ascending block order, so any append partitioning of the same
@@ -358,8 +316,7 @@ impl StreamSession {
             source_rows,
             sealed_blocks: 0,
             clean: Vec::new(),
-            sealed_outliers: 0,
-            sealed_missing: 0,
+            sealed_tally: CleanTally::default(),
             uncertainty: None,
             cache: None,
         };
@@ -417,12 +374,12 @@ impl StreamSession {
 
     /// Outliers replaced across all sealed blocks so far.
     pub fn outliers_replaced(&self) -> usize {
-        self.sealed_outliers
+        self.sealed_tally.outliers_replaced
     }
 
     /// Missing values filled across all sealed blocks so far.
     pub fn missing_filled(&self) -> usize {
-        self.sealed_missing
+        self.sealed_tally.missing_filled
     }
 
     /// The series key one run's samples of `event` are stored under.
@@ -577,15 +534,27 @@ impl StreamSession {
                 }
             })
             .collect();
+        // Bayes: fold the per-run aggregates into per-event column
+        // aggregates in run order, as the batch front half merges them.
+        let uncertainty = self.uncertainty.as_ref().map(|per_run| {
+            let mut columns = vec![VarianceAggregate::default(); self.events.len()];
+            for run in per_run {
+                for (column, aggregate) in columns.iter_mut().zip(run) {
+                    column.merge(aggregate);
+                }
+            }
+            columns
+        });
         Some(SealedPrefix {
             miner: self.config.miner,
             benchmark: self.benchmark,
-            events: self.events.clone(),
             sealed_rows,
-            runs,
-            outliers_replaced: self.sealed_outliers,
-            missing_filled: self.sealed_missing,
-            uncertainty: self.uncertainty.clone(),
+            front: CleanedRuns {
+                runs,
+                events: self.events.clone(),
+                tally: self.sealed_tally,
+                uncertainty,
+            },
         })
     }
 
@@ -611,21 +580,11 @@ impl StreamSession {
                     // Bayes carries the block's reconstruction variances
                     // through the seal; values are bit-identical either
                     // way, so the point path stays the fast default.
-                    let (cleaned, report) = match self.uncertainty.as_mut() {
-                        Some(aggregates) => {
-                            let (cleaned, report, block_uncertainty) =
-                                self.cleaner.clean_series_bayes(&series)?;
-                            aggregates[r][pos]
-                                .merge(&VarianceAggregate::of_series(&cleaned, &block_uncertainty));
-                            (cleaned, report)
-                        }
-                        None => self.cleaner.clean_series(&series)?,
-                    };
+                    let aggregate = self.uncertainty.as_mut().map(|a| &mut a[r][pos]);
+                    let cleaned = self.sealed_tally.clean(&self.cleaner, &series, aggregate)?;
                     self.clean[r][pos]
                         .sealed
                         .extend_from_slice(cleaned.values());
-                    self.sealed_outliers += report.outliers_replaced;
-                    self.sealed_missing += report.missing_filled;
                 }
             }
         }

@@ -10,7 +10,9 @@
 use cm_events::{EventCatalog, EventId, EventSet};
 use cm_ml::SgbrtConfig;
 use cm_sim::{Benchmark, ColocatedWorkload, PmuConfig};
-use counterminer::{collector, DataCleaner, ImportanceConfig, ImportanceRanker};
+use counterminer::{
+    clean_runs, collector, CleanerKind, DataCleaner, ImportanceConfig, ImportanceRanker,
+};
 
 fn analyze_pair(
     a: Benchmark,
@@ -46,8 +48,8 @@ fn analyze_pair(
         .collect();
 
     let ids: Vec<EventId> = events.iter().collect();
-    let cleaner = DataCleaner::default();
-    let data = collector::build_dataset(&runs, &ids, Some(&cleaner))?;
+    let cleaned = clean_runs(&DataCleaner::default(), CleanerKind::Point, &runs)?;
+    let data = collector::build_dataset(&cleaned.runs, &ids)?;
     let data = collector::normalize_columns(&data)?;
     let eir = ImportanceRanker::new(ImportanceConfig {
         sgbrt: SgbrtConfig {

@@ -144,6 +144,34 @@ fn cluster_reports_are_bit_identical_across_threads_and_cleaners() {
     );
 }
 
+/// Golden pin of a cluster run with injected anomalies: the FNV-1a
+/// digest of the report's `Debug` text (bit-equal `f64`s, assignments,
+/// medoids, thresholds, flags). The thread and cleaner comparisons above
+/// only compare runs of the same code with each other; this digest was
+/// recorded before the injected runs were cleaned through the shared
+/// front half, and an exact change to collection, cleaning or clustering
+/// must keep it.
+#[test]
+fn cluster_report_with_injected_anomalies_matches_golden_digest() {
+    let dir = store_dir("golden");
+    let mut store = Store::open(dir.join("c.cmstore")).unwrap();
+    let miner = CounterMiner::new(MinerConfig {
+        cleaner_kind: CleanerKind::Point,
+        ..config(5)
+    });
+    let cfg = ClusterConfig {
+        inject_anomalies: 2,
+        ..ClusterConfig::default()
+    };
+    let report = miner
+        .analyze_cluster(&ALL_BENCHMARKS[..8], &mut store, &cfg)
+        .unwrap();
+    assert_eq!(report.runs.iter().filter(|r| r.injected).count(), 16);
+    let digest =
+        cm_par::rng::fnv1a_extend(cm_par::rng::FNV1A_OFFSET, format!("{report:?}").as_bytes());
+    assert_eq!(digest, 0xfc23_2d61_89d8_2f29, "{digest:#x}");
+}
+
 /// The warm path: `cluster_snapshot` is `None` before ingest, and
 /// bit-identical to `analyze_cluster` afterwards — all through
 /// `&Store`.

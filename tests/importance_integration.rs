@@ -5,7 +5,8 @@
 use cm_events::EventId;
 use cm_ml::SgbrtConfig;
 use cm_sim::{global_noise_events, Benchmark};
-use counterminer::{CounterMiner, ImportanceConfig, MinerConfig};
+use cm_store::Store;
+use counterminer::{AnalysisReport, CleanerKind, CounterMiner, ImportanceConfig, MinerConfig};
 
 fn config(seed: u64) -> MinerConfig {
     MinerConfig {
@@ -106,18 +107,24 @@ fn noise_events_lose_to_dominant_events() {
     );
 }
 
-/// Golden pin of `analyze` across the whole suite: the FNV-1a digest of
-/// each report's `Debug` text, folded over all 16 benchmarks. Every
-/// analysis runs three EIR rounds (40, 30 and 20 events), so rounds
-/// after the first train next to the previous round's forest. `f64`
-/// debug-prints its shortest round-trip form, so an equal digest means
-/// bit-equal reports: rankings, error curves, MAPM trees and
-/// interactions. Recorded before EIR rounds took over the previous
-/// round's leading trees, which the run must now do; an exact change to
-/// training must keep the digest.
+/// Golden pin of every analyze path across the whole suite: the FNV-1a
+/// digest of each report's `Debug` text, folded over all 16 benchmarks.
+/// Every analysis runs three EIR rounds (40, 30 and 20 events), so
+/// rounds after the first train next to the previous round's forest.
+/// `f64` debug-prints its shortest round-trip form, so an equal digest
+/// means bit-equal reports: rankings, error curves, MAPM trees,
+/// interactions and, for `bayes`, the uncertainty.
+///
+/// Each cleaner kind is pinned explicitly against its own digest, so
+/// the result does not depend on `CM_CLEANER`. Per kind, the in-memory
+/// `analyze` runs at 1 and 2 threads, and `ingest` into a fresh store
+/// followed by the warm `analyze_snapshot` must land on the same digest.
+/// Both digests were recorded before the front half cleaned every series
+/// once and before EIR rounds took over the previous round's leading
+/// trees; an exact change to cleaning or training must keep them.
 #[test]
 fn suite_analyses_match_golden_digest() {
-    let config = MinerConfig {
+    let base = MinerConfig {
         runs_per_benchmark: 1,
         events_to_measure: Some(40),
         importance: ImportanceConfig {
@@ -131,25 +138,52 @@ fn suite_analyses_match_golden_digest() {
         seed: 23,
         ..MinerConfig::default()
     };
-    let miner = CounterMiner::new(config);
-    cm_obs::set_mode(cm_obs::Mode::Summary);
-    cm_obs::Registry::global().drain();
-    let mut digests = Vec::new();
-    for threads in [1, 2] {
-        cm_par::set_max_threads(threads);
+    let suite_digest = |analyze: &dyn Fn(Benchmark) -> AnalysisReport| {
         let mut digest = cm_par::rng::FNV1A_OFFSET;
         for benchmark in cm_sim::ALL_BENCHMARKS {
-            let report = miner.analyze(benchmark).unwrap();
+            let report = analyze(benchmark);
             let rounds: Vec<usize> = report.eir.iterations.iter().map(|i| i.n_events).collect();
             assert_eq!(rounds, [40, 30, 20], "{benchmark:?}");
             digest = cm_par::rng::fnv1a_extend(digest, format!("{report:?}").as_bytes());
         }
-        digests.push(digest);
+        digest
+    };
+    cm_obs::set_mode(cm_obs::Mode::Summary);
+    cm_obs::Registry::global().drain();
+    for (kind, golden) in [
+        (CleanerKind::Point, 0x8e07_baa1_b68f_0ee2),
+        (CleanerKind::Bayes, 0xc6a6_8d2a_198e_a48b),
+    ] {
+        let miner = CounterMiner::new(MinerConfig {
+            cleaner_kind: kind,
+            ..base
+        });
+        let mut digests = Vec::new();
+        for threads in [1, 2] {
+            cm_par::set_max_threads(threads);
+            digests.push(suite_digest(&|b| miner.analyze(b).unwrap()));
+        }
+        cm_par::set_max_threads(1);
+        let dir =
+            std::env::temp_dir().join(format!("cm_suite_digest_{kind}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut store = Store::open(dir.join("suite.cmstore")).unwrap();
+        for benchmark in cm_sim::ALL_BENCHMARKS {
+            assert!(!miner.ingest(benchmark, &mut store).unwrap().resumed);
+        }
+        digests.push(suite_digest(&|b| {
+            miner
+                .analyze_snapshot(b, &store)
+                .unwrap()
+                .expect("ingested snapshot")
+        }));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(digests, [golden; 3], "{kind:?}: {digests:#x?}");
     }
     cm_par::set_max_threads(0);
     let counters = cm_obs::Registry::global().drain().counters;
     cm_obs::set_mode(cm_obs::Mode::Off);
-    assert_eq!(digests, [0x8e07_baa1_b68f_0ee2; 2], "{digests:#x?}");
     let reused = counters.get("ml.trees_reused").copied().unwrap_or(0);
     assert!(reused > 0, "no EIR round took a tree over: {counters:?}");
 }

@@ -9,7 +9,8 @@
 use cm_ml::{SgbrtConfig, TreeConfig};
 use cm_obs::{Mode, Registry, Snapshot};
 use cm_sim::Benchmark;
-use counterminer::{CounterMiner, ImportanceConfig, MinerConfig};
+use cm_store::Store;
+use counterminer::{CleanerKind, CounterMiner, ImportanceConfig, MinerConfig};
 use std::sync::Mutex;
 
 /// The observability mode and registry are process-global; tests that
@@ -150,6 +151,49 @@ fn json_report_carries_the_eir_curve() {
         json.contains(&expected),
         "JSON output missing EIR curve {expected}:\n{json}"
     );
+}
+
+/// The front half cleans every series exactly once: one `analyze` adds
+/// runs × events to `cleaner.series`, and so does one cold `ingest`. In
+/// `bayes` mode both record the same reconstructed values.
+#[test]
+fn analyze_and_ingest_clean_every_series_once() {
+    let _guard = serialized();
+    cm_obs::set_mode(Mode::Summary);
+    cm_par::set_max_threads(0);
+    for kind in [CleanerKind::Point, CleanerKind::Bayes] {
+        let miner = CounterMiner::new(MinerConfig {
+            runs_per_benchmark: 2,
+            cleaner_kind: kind,
+            ..tiny_config()
+        });
+        Registry::global().drain();
+        miner.analyze(Benchmark::Sort).unwrap();
+        let analyzed = Registry::global().drain().counters;
+
+        let dir =
+            std::env::temp_dir().join(format!("cm_obs_clean_once_{kind}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut store = Store::open(dir.join("once.cmstore")).unwrap();
+        let summary = miner.ingest(Benchmark::Sort, &mut store).unwrap();
+        let ingested = Registry::global().drain().counters;
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!summary.resumed);
+
+        let series = (summary.runs * summary.events) as u64;
+        assert_eq!(series, 2 * 14);
+        assert_eq!(analyzed.get("cleaner.series"), Some(&series), "{kind:?}");
+        assert_eq!(ingested.get("cleaner.series"), Some(&series), "{kind:?}");
+        let variance_values = analyzed.get("clean.variance.values");
+        assert_eq!(variance_values, ingested.get("clean.variance.values"));
+        assert_eq!(
+            variance_values.is_some_and(|&n| n > 0),
+            kind == CleanerKind::Bayes,
+            "{kind:?}: {analyzed:?}"
+        );
+    }
+    cm_obs::set_mode(Mode::Off);
 }
 
 #[test]
