@@ -1,11 +1,10 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! KNN k, outlier-threshold n, EIR prune step, DTW band radius.
+//! KNN k, outlier-threshold n, EIR prune step.
 
 use cm_bench::sampler::Sampler;
 use cm_events::{EventId, TimeSeries};
 use cm_ml::{Dataset, SgbrtConfig};
 use cm_par::Rng;
-use cm_stats::dtw;
 use counterminer::{CleanerConfig, DataCleaner, ImportanceConfig, ImportanceRanker};
 
 fn dirty_series(n: usize) -> TimeSeries {
@@ -72,22 +71,10 @@ fn bench_prune_step(s: &mut Sampler) {
     }
 }
 
-fn bench_dtw_band(s: &mut Sampler) {
-    let mut group = s.group("ablation_dtw_band", 20);
-    let a: Vec<f64> = (0..400).map(|i| (i as f64 * 0.1).sin()).collect();
-    let b: Vec<f64> = (0..440).map(|i| (i as f64 * 0.1 + 0.2).sin()).collect();
-    for radius in [8usize, 32, 128] {
-        group.bench(radius, || {
-            dtw::distance_banded(std::hint::black_box(&a), &b, radius)
-        });
-    }
-}
-
 fn main() {
     let mut s = Sampler::from_args("ablations");
     bench_knn_k(&mut s);
     bench_threshold_n(&mut s);
     bench_prune_step(&mut s);
-    bench_dtw_band(&mut s);
     s.finish();
 }

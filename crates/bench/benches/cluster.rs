@@ -9,7 +9,7 @@
 
 use cm_bench::sampler::Sampler;
 use cm_sim::ALL_BENCHMARKS;
-use cm_stats::cluster::{k_medoids, pairwise_distances, SignatureDistance};
+use cm_stats::cluster::{k_medoids, pairwise_distances};
 use cm_store::Store;
 use counterminer::{ClusterConfig, CounterMiner, MinerConfig};
 
@@ -61,13 +61,9 @@ fn bench_cluster(s: &mut Sampler) {
     // x 4 runs) with a typical signature width.
     let n = 64;
     let signatures = synthetic_signatures(n, 34);
-    let distances = pairwise_distances(&signatures, SignatureDistance::Euclidean).unwrap();
+    let distances = pairwise_distances(&signatures).unwrap();
     group.bench(format!("pairwise/{n}"), || {
-        pairwise_distances(
-            std::hint::black_box(&signatures),
-            SignatureDistance::Euclidean,
-        )
-        .unwrap()
+        pairwise_distances(std::hint::black_box(&signatures)).unwrap()
     });
     group.bench(format!("k_medoids/{n}"), || {
         k_medoids(std::hint::black_box(&distances), 4, 0).unwrap()

@@ -17,35 +17,11 @@ fn bench_dtw(s: &mut Sampler) {
         group.bench(format!("exact/{n}"), || {
             dtw::distance(std::hint::black_box(&a), std::hint::black_box(&b))
         });
-        group.bench(format!("banded_r32/{n}"), || {
-            dtw::distance_banded(std::hint::black_box(&a), std::hint::black_box(&b), 32)
-        });
     }
-}
-
-/// Serial (1 worker) vs. parallel (all cores) batch DTW over many
-/// pairs — identical distances, different wall clock.
-fn bench_dtw_batch_threads(s: &mut Sampler) {
-    let mut group = s.group("dtw_batch_threads", 20);
-    let all: Vec<Vec<f64>> = (0..32).map(|i| series(256, i as f64 * 0.1)).collect();
-    let pairs: Vec<(&[f64], &[f64])> = (0..all.len() - 1)
-        .map(|k| (all[k].as_slice(), all[k + 1].as_slice()))
-        .collect();
-    for (label, threads) in [("serial", 1usize), ("parallel", 0)] {
-        cm_par::set_max_threads(threads);
-        group.bench(format!("batch_31x256/{label}"), || {
-            dtw::distance_batch(std::hint::black_box(&pairs))
-        });
-        group.bench(format!("batch_banded_r32/{label}"), || {
-            dtw::distance_batch_banded(std::hint::black_box(&pairs), 32)
-        });
-    }
-    cm_par::set_max_threads(0);
 }
 
 fn main() {
     let mut s = Sampler::from_args("dtw");
     bench_dtw(&mut s);
-    bench_dtw_batch_threads(&mut s);
     s.finish();
 }

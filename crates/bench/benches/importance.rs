@@ -6,12 +6,25 @@ use cm_ml::{Dataset, SgbrtConfig, Trainer};
 use cm_par::Rng;
 use counterminer::{ImportanceConfig, ImportanceRanker};
 
+/// Uniform features and a noisy target drawn from the first 24 columns
+/// with graded weights `0.85^k`. EIR prunes the weakest weighted columns
+/// in its later rounds, and the noise lets deep splits land on columns a
+/// round prunes, so a round takes over about as few of the previous
+/// round's trees as it does on simulator data.
 fn dataset(rows: usize, features: usize) -> (Dataset, Vec<EventId>) {
     let mut rng = Rng::new(2);
     let data: Vec<Vec<f64>> = (0..rows)
         .map(|_| (0..features).map(|_| rng.range_f64(-1.0..1.0)).collect())
         .collect();
-    let y: Vec<f64> = data.iter().map(|r| 1.5 - r[0] - 0.3 * r[1]).collect();
+    let y: Vec<f64> = data
+        .iter()
+        .map(|r| {
+            let signal: f64 = (r.iter().take(24).enumerate())
+                .map(|(k, &x)| 0.85f64.powi(k as i32) * x)
+                .sum();
+            1.5 - signal + 2.0 * rng.range_f64(-1.0..1.0)
+        })
+        .collect();
     (
         Dataset::new(data, y).unwrap(),
         (0..features).map(EventId::new).collect(),

@@ -22,25 +22,11 @@ fn bench_interaction(s: &mut Sampler) {
     .fit(&data)
     .unwrap();
 
-    for top_k in [4usize, 8] {
-        let top = &events[..top_k];
-        group.bench(format!("rank_pairs/{top_k}"), || {
-            InteractionRanker::new()
-                .rank_pairs(&model, &events, std::hint::black_box(&data), top)
-                .unwrap()
-        });
-    }
-
     // Serial (1 worker) vs. parallel (all cores) over the same pair
     // loop — identical rankings, different wall clock.
     let top = &events[..8];
     for (label, threads) in [("serial", 1usize), ("parallel", 0)] {
         cm_par::set_max_threads(threads);
-        group.bench(format!("rank_pairs_8ev/{label}"), || {
-            InteractionRanker::new()
-                .rank_pairs(&model, &events, std::hint::black_box(&data), top)
-                .unwrap()
-        });
         group.bench(format!("rank_pairs_additive_8ev/{label}"), || {
             InteractionRanker::new()
                 .rank_pairs_additive(&model, &events, std::hint::black_box(&data), top)

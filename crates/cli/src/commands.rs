@@ -258,6 +258,9 @@ pub fn collect(args: &Args) -> CmdResult {
         .ok_or_else(|| ArgError("--out FILE is required".into()))?;
     let runs: usize = args.get_num("runs", 2)?;
     let n_events: usize = args.get_num("events", 10)?;
+    if n_events == 0 {
+        return Err(ArgError("--events must be at least 1".into()).into());
+    }
     let seed: u64 = args.get_num("seed", 0)?;
     let mode = if args.flag("ocoe") {
         SampleMode::Ocoe
@@ -999,9 +1002,16 @@ pub fn load(args: &Args) -> CmdResult {
     let cooldown_ms: u64 = args.get_num("cooldown-ms", 0)?;
     let mode = match args.get("mode").unwrap_or("closed") {
         "closed" => LoopMode::Closed,
-        "open" => LoopMode::Open {
-            rate_hz: args.get_num("rate", 50.0)?,
-        },
+        "open" => {
+            let rate_hz: f64 = args.get_num("rate", 50.0)?;
+            if !(rate_hz.is_finite() && rate_hz > 0.0) {
+                return Err(ArgError(format!(
+                    "--rate must be a finite number of ops/s above 0, not {rate_hz}"
+                ))
+                .into());
+            }
+            LoopMode::Open { rate_hz }
+        }
         other => {
             return Err(ArgError(format!("--mode must be closed or open, not {other:?}")).into());
         }
@@ -1323,8 +1333,12 @@ mod tests {
         };
         // collect without --out.
         assert!(collect(&parse(&["collect", "sort"])).is_err());
-        // collect of an unknown benchmark.
+        // collect of an unknown benchmark, then of no event.
         assert!(collect(&parse(&["collect", "nope", "--out", "/tmp/x"])).is_err());
+        assert!(collect(&parse(&[
+            "collect", "sort", "--out", "/tmp/x", "--events", "0"
+        ]))
+        .is_err());
         // error without a benchmark.
         assert!(error(&parse(&["error"])).is_err());
         // show of a missing directory.
@@ -1404,6 +1418,39 @@ mod tests {
             "sideways",
         ]))
         .is_err());
+    }
+
+    /// An open loop whose rate is not a finite positive number would
+    /// schedule its ops about 1e9 s apart; it is rejected before the
+    /// store is warmed.
+    #[test]
+    fn load_rejects_a_rate_that_is_not_positive() {
+        let dir = std::env::temp_dir().join(format!("cm_cli_rate_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("never.cmstore");
+        let store = path.to_string_lossy().into_owned();
+        for rate in ["0", "-5", "nan", "inf"] {
+            let args = crate::args::Args::parse(
+                [
+                    "load",
+                    "--store",
+                    &store,
+                    "--benchmark",
+                    "sort",
+                    "--mode",
+                    "open",
+                    "--rate",
+                    rate,
+                ]
+                .iter()
+                .map(|s| s.to_string()),
+            )
+            .unwrap();
+            let err = load(&args).unwrap_err();
+            assert!(err.is::<ArgError>(), "--rate {rate}: {err}");
+        }
+        assert!(!path.exists(), "the store was warmed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `collect → show → clean → inspect` on `.cmstore` files, and a

@@ -24,7 +24,7 @@
 use crate::{clean_runs, snapshot, CleanerKind, CmError, CounterMiner, DataCleaner};
 use cm_events::EventId;
 use cm_sim::{Benchmark, SimRun, Workload};
-use cm_stats::cluster::{k_medoids, pairwise_distances, SignatureDistance};
+use cm_stats::cluster::{k_medoids, pairwise_distances};
 use cm_stats::descriptive;
 use cm_store::Store;
 use std::fmt;
@@ -308,8 +308,7 @@ impl CounterMiner {
         // Fit medoids on the corpus and calibrate per-cluster anomaly
         // thresholds from the corpus distances.
         let _s = cm_obs::span!("medoids");
-        let distances = pairwise_distances(&signatures, SignatureDistance::Euclidean)
-            .map_err(CmError::Stats)?;
+        let distances = pairwise_distances(&signatures).map_err(CmError::Stats)?;
         let clustering =
             k_medoids(&distances, cfg.k, self.config().seed).map_err(CmError::Stats)?;
         let medoid_distances = clustering.medoid_distances(&distances);
@@ -368,6 +367,7 @@ impl CounterMiner {
         benchmarks: &[Benchmark],
         count: usize,
     ) -> Result<Vec<Vec<SimRun>>, CmError> {
+        self.check_collection()?;
         let cleaner = DataCleaner::new(self.config().cleaner);
         benchmarks
             .iter()

@@ -1,11 +1,15 @@
 //! The interaction ranker (Section III-D).
 //!
-//! For each pair of important events a linear model is fit with all
-//! other events held at their means; the **residual variance** of that
-//! linear model against the performance surface (Eq. 12) measures how
-//! strongly the pair interacts — a linear model captures two
-//! non-interacting events perfectly, so residuals indicate interaction.
-//! Intensities are normalized across pairs (Eq. 13).
+//! The paper's Eq. 12 fits a linear model to each pair of important
+//! events with all other events held at their means, and reads the
+//! **residual variance** against the performance surface as the pair's
+//! interaction intensity. Over a tree ensemble's MAPM that residual
+//! also counts each event's own nonlinearity, so the pipeline ranks
+//! pairs by the additivity-corrected cross-difference instead
+//! ([`InteractionRanker::rank_pairs_additive`]); Eq. 12's literal
+//! residual survives for observed series
+//! ([`InteractionRanker::observed_intensity`]). Intensities are
+//! normalized across pairs (Eq. 13).
 //!
 //! Every swept surface is the MAPM with all but one or two columns
 //! pinned at the mean row. It is computed at *cell* cost: the model is
@@ -24,7 +28,8 @@ use cm_stats::regression::MultipleLinear;
 pub struct PairInteraction {
     /// The event pair (in ranking-list order).
     pub pair: (EventId, EventId),
-    /// Raw residual variance `v` (Eq. 12).
+    /// Raw intensity `v`: the pair's squared cross-difference summed
+    /// over the observed rows (Eq. 12's role).
     pub intensity: f64,
     /// Normalized share of the total across ranked pairs (Eq. 13), in
     /// percent.
@@ -41,65 +46,18 @@ impl InteractionRanker {
         InteractionRanker
     }
 
-    /// Ranks all pairs among `top_events` by interaction intensity.
-    ///
-    /// `model` is the MAPM over `model_events` (column order), and
-    /// `data` the dataset the model was trained on (same columns).
-    /// For each pair, every other feature is pinned at its dataset mean,
-    /// the pair's observed joint values are swept, the MAPM predicts the
-    /// performance surface, and a linear model in the two events is fit
-    /// to that surface; its residual sum of squares is the intensity.
-    ///
-    /// Returns pairs sorted by descending intensity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmError::Invalid`] when fewer than two top events are
-    /// given or an event is not a model column; propagates regression
-    /// failures.
-    pub fn rank_pairs(
-        &self,
-        model: &Sgbrt,
-        model_events: &[EventId],
-        data: &Dataset,
-        top_events: &[EventId],
-    ) -> Result<Vec<PairInteraction>, CmError> {
-        if top_events.len() < 2 {
-            return Err(CmError::Invalid(
-                "interaction ranking needs at least two events",
-            ));
-        }
-        if model_events.len() != data.n_features() {
-            return Err(CmError::Invalid(
-                "event list must match dataset feature count",
-            ));
-        }
-        let cols = resolve_columns(model_events, top_events)?;
-
-        // Mean row: all features at their dataset means.
-        let means = column_means(data);
-
-        // Each pair's sweep-and-fit is independent; fan the O(P²) loop
-        // out across the pool. `try_map` keeps pair order and surfaces
-        // the lowest-indexed error, like the serial loop did.
-        let pairs = index_pairs(top_events.len());
-        let swept = cm_par::try_map(&pairs, |&(i, j)| {
-            pair_intensity(model, data, &means, cols[i], cols[j])
-        })?;
-        let cells = swept.iter().map(|&(_, cells)| cells).sum();
-        record_sweep(pairs.len(), pairs.len() * data.n_rows(), cells);
-        let intensities = swept.into_iter().map(|(v, _)| v);
-        Ok(ranked(top_events, &pairs, intensities))
-    }
-
     /// Ranks pairs by **additivity-corrected** interaction intensity:
     /// the cross-difference
     /// `f(a, b) - f(a, ·) - f(·, b) + f(·, ·)` of the MAPM surface,
     /// squared and summed over the observed joint values (Friedman's
     /// H-statistic numerator).
     ///
-    /// Eq. 12's pairwise *linear* residual (see
-    /// [`InteractionRanker::rank_pairs`]) also counts each event's own
+    /// `model` is the MAPM over `model_events` (column order), and
+    /// `data` the dataset the model was trained on (same columns). Every
+    /// feature outside the swept pair is pinned at its dataset mean.
+    /// Returns pairs sorted by descending intensity.
+    ///
+    /// Eq. 12's pairwise *linear* residual also counts each event's own
     /// nonlinearity — over a tree-ensemble surface, whose main effects
     /// are piecewise constant, that term dominates, so every pair
     /// containing the single most important event ranks high. The
@@ -110,7 +68,9 @@ impl InteractionRanker {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`InteractionRanker::rank_pairs`].
+    /// Returns [`CmError::Invalid`] when fewer than two top events are
+    /// given, the event list does not match the dataset's columns, or an
+    /// event is not a model column.
     pub fn rank_pairs_additive(
         &self,
         model: &Sgbrt,
@@ -290,7 +250,7 @@ fn cell_sweep(model: &Sgbrt, means: &[f64], data: &Dataset, cols: &[usize]) -> (
     (surface, cells as usize)
 }
 
-/// Per-column means of a dataset — the "mean row" both rankers pin
+/// Per-column means of a dataset — the "mean row" the sweeps pin
 /// non-swept features to.
 pub(crate) fn column_means(data: &Dataset) -> Vec<f64> {
     let n = data.n_rows() as f64;
@@ -335,24 +295,6 @@ fn index_pairs(len: usize) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Eq. 12 for one pair: the residual sum of squares of a linear fit to
-/// the pair's swept surface, and the cells the sweep predicted.
-fn pair_intensity(
-    model: &Sgbrt,
-    data: &Dataset,
-    means: &[f64],
-    ca: usize,
-    cb: usize,
-) -> Result<(f64, usize), CmError> {
-    let (surface, cells) = cell_sweep(model, means, data, &[ca, cb]);
-    let pair_rows: Vec<Vec<f64>> = data.rows().iter().map(|r| vec![r[ca], r[cb]]).collect();
-    let linear = MultipleLinear::fit(&pair_rows, &surface).map_err(CmError::Stats)?;
-    let rss = linear
-        .residual_sum_of_squares(&pair_rows, &surface)
-        .map_err(CmError::Stats)?;
-    Ok((rss, cells))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,74 +313,6 @@ mod tests {
 
     fn events(n: usize) -> Vec<EventId> {
         (0..n).map(EventId::new).collect()
-    }
-
-    #[test]
-    fn interacting_pair_ranks_first() {
-        let data = interacting_dataset(500, 1);
-        let ev = events(3);
-        let model = SgbrtConfig {
-            n_trees: 150,
-            ..SgbrtConfig::default()
-        }
-        .fit(&data)
-        .unwrap();
-        let ranked = InteractionRanker::new()
-            .rank_pairs(&model, &ev, &data, &ev)
-            .unwrap();
-        assert_eq!(ranked.len(), 3);
-        let top = &ranked[0];
-        assert_eq!(
-            (
-                top.pair.0.index().min(top.pair.1.index()),
-                top.pair.0.index().max(top.pair.1.index())
-            ),
-            (0, 1),
-            "expected (e0, e1) to dominate: {ranked:?}"
-        );
-        // Shares sum to 100.
-        let total: f64 = ranked.iter().map(|p| p.share).sum();
-        assert!((total - 100.0).abs() < 1e-6);
-        // Dominance is clear.
-        assert!(top.share > 60.0, "top share {}", top.share);
-    }
-
-    #[test]
-    fn additive_feature_pairs_have_low_intensity() {
-        let data = interacting_dataset(500, 2);
-        let ev = events(3);
-        let model = SgbrtConfig::default().fit(&data).unwrap();
-        let ranked = InteractionRanker::new()
-            .rank_pairs(&model, &ev, &data, &ev)
-            .unwrap();
-        // (0,2) and (1,2) are additive pairs: far weaker than (0,1).
-        let intensity_of = |a: usize, b: usize| {
-            ranked
-                .iter()
-                .find(|p| {
-                    let (x, y) = (p.pair.0.index(), p.pair.1.index());
-                    (x, y) == (a, b) || (x, y) == (b, a)
-                })
-                .unwrap()
-                .intensity
-        };
-        assert!(intensity_of(0, 1) > 3.0 * intensity_of(0, 2));
-        assert!(intensity_of(0, 1) > 3.0 * intensity_of(1, 2));
-    }
-
-    #[test]
-    fn validates_inputs() {
-        let data = interacting_dataset(50, 3);
-        let ev = events(3);
-        let model = SgbrtConfig::default().fit(&data).unwrap();
-        let ranker = InteractionRanker::new();
-        assert!(ranker
-            .rank_pairs(&model, &ev, &data, &[EventId::new(0)])
-            .is_err());
-        assert!(ranker
-            .rank_pairs(&model, &ev, &data, &[EventId::new(0), EventId::new(9)])
-            .is_err());
-        assert!(ranker.rank_pairs(&model, &events(2), &data, &ev).is_err());
     }
 
     #[test]
@@ -504,12 +378,9 @@ mod tests {
         let model = SgbrtConfig::default().fit(&data).unwrap();
         let ranker = InteractionRanker::new();
         cm_par::set_max_threads(1);
-        let serial = ranker.rank_pairs(&model, &ev, &data, &ev).unwrap();
         let serial_add = ranker.rank_pairs_additive(&model, &ev, &data, &ev).unwrap();
         cm_par::set_max_threads(0);
-        let parallel = ranker.rank_pairs(&model, &ev, &data, &ev).unwrap();
         let parallel_add = ranker.rank_pairs_additive(&model, &ev, &data, &ev).unwrap();
-        assert_eq!(serial, parallel);
         assert_eq!(serial_add, parallel_add);
     }
 

@@ -162,6 +162,15 @@ impl CounterMiner {
         workload.top_event_ids(&self.catalog, n_events)
     }
 
+    /// Rejects a configuration whose collection would measure no event,
+    /// before anything is simulated.
+    pub(crate) fn check_collection(&self) -> Result<(), CmError> {
+        if self.config.events_to_measure == Some(0) {
+            return Err(CmError::Invalid("events_to_measure must be at least 1"));
+        }
+        Ok(())
+    }
+
     /// Collects the configured number of multiplexed runs of a
     /// benchmark. Collection is a pure function of the configuration, so
     /// collecting twice yields identical runs.
@@ -204,8 +213,10 @@ impl CounterMiner {
     ///
     /// # Errors
     ///
-    /// Propagates failures from any stage.
+    /// Returns [`CmError::Invalid`] when `events_to_measure` is
+    /// `Some(0)`; propagates failures from any stage.
     pub fn analyze(&self, benchmark: Benchmark) -> Result<AnalysisReport, CmError> {
+        self.check_collection()?;
         let _analyze = cm_obs::span!("analyze", benchmark = benchmark.name());
         cm_obs::counter_add("pipeline.analyses", 1);
 
@@ -324,7 +335,8 @@ impl CounterMiner {
     ///
     /// # Errors
     ///
-    /// Propagates collection, cleaning, and store failures.
+    /// As [`Self::analyze`] for the configuration; propagates collection,
+    /// cleaning, and store failures.
     pub fn ingest(
         &self,
         benchmark: Benchmark,
@@ -362,6 +374,7 @@ impl CounterMiner {
         fp: u64,
         store: &mut Store,
     ) -> Result<CleanedRuns, CmError> {
+        self.check_collection()?;
         let runs = {
             let _s = cm_obs::span!("collect");
             self.collect(benchmark)
@@ -478,6 +491,37 @@ mod tests {
         // Multiplexing 14 events on 4 counters produces dirty data the
         // cleaner acts on.
         assert!(report.outliers_replaced + report.missing_filled > 0);
+    }
+
+    /// Regression: `events_to_measure: Some(0)` used to panic inside the
+    /// MLPX rotation. Every entry point that collects rejects it first.
+    #[test]
+    fn measuring_no_event_is_rejected_before_collection() {
+        let dir = std::env::temp_dir().join(format!("cm_pipe_zero_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut store = Store::open(dir.join("zero.cmstore")).unwrap();
+        let miner = CounterMiner::new(MinerConfig {
+            events_to_measure: Some(0),
+            ..tiny_config()
+        });
+        let invalid = |e: CmError| assert!(matches!(e, CmError::Invalid(_)), "{e}");
+        invalid(miner.analyze(Benchmark::Sort).unwrap_err());
+        invalid(
+            miner
+                .analyze_with_store(Benchmark::Sort, &mut store)
+                .unwrap_err(),
+        );
+        invalid(miner.ingest(Benchmark::Sort, &mut store).unwrap_err());
+        let cfg = crate::ClusterConfig::default();
+        invalid(
+            miner
+                .analyze_cluster(&[Benchmark::Sort], &mut store, &cfg)
+                .unwrap_err(),
+        );
+        assert_eq!(store.run_ids().count(), 0);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

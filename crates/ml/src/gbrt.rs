@@ -391,44 +391,6 @@ fn record_fit(grown: usize, reused: usize, trainer: &str) {
     }
 }
 
-/// K-fold cross-validation of an SGBRT configuration: returns the
-/// held-out relative error (Eq. 14 of the paper) of each fold.
-///
-/// Folds are contiguous row ranges (rows are assumed already shuffled or
-/// exchangeable, as the simulator's interval rows are after windowing).
-/// Folds train concurrently on the [`cm_par`] pool; each fold is a pure
-/// function of `(config, data, fold)`, so the returned errors are
-/// identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`MlError::InvalidConfig`] unless `2 <= k <= n_rows`, plus
-/// any training failure.
-pub fn cross_validate(config: SgbrtConfig, data: &Dataset, k: usize) -> Result<Vec<f64>, MlError> {
-    if k < 2 || k > data.n_rows() {
-        return Err(MlError::InvalidConfig("k must be in 2..=n_rows"));
-    }
-    let n = data.n_rows();
-    let folds: Vec<usize> = (0..k).collect();
-    cm_par::try_map(&folds, |&fold| {
-        let lo = fold * n / k;
-        let hi = (fold + 1) * n / k;
-        let train_idx: Vec<usize> = (0..n).filter(|i| *i < lo || *i >= hi).collect();
-        let test_idx: Vec<usize> = (lo..hi).collect();
-        let pick = |idx: &[usize]| {
-            Dataset::new(
-                idx.iter().map(|&i| data.row(i).to_vec()).collect(),
-                idx.iter().map(|&i| data.target(i)).collect(),
-            )
-        };
-        let train = pick(&train_idx)?;
-        let test = pick(&test_idx)?;
-        let model = config.fit(&train)?;
-        let preds = model.predict_batch(test.rows());
-        crate::metrics::relative_error(test.targets(), &preds)
-    })
-}
-
 /// A trained stochastic gradient boosted regression tree ensemble.
 ///
 /// # Examples
@@ -811,35 +773,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cross_validation_returns_k_fold_errors() {
-        let data = friedman_like(200, 20);
-        let config = SgbrtConfig {
-            n_trees: 40,
-            ..SgbrtConfig::default()
-        };
-        let errors = cross_validate(config, &data, 4).unwrap();
-        assert_eq!(errors.len(), 4);
-        // A learnable function: every fold achieves a sane error.
-        for e in &errors {
-            assert!(*e < 0.5, "fold error {e}");
-        }
-        assert!(cross_validate(config, &data, 1).is_err());
-        assert!(cross_validate(config, &data, 500).is_err());
-    }
-
-    #[test]
-    fn cross_validation_is_thread_count_invariant() {
-        let data = friedman_like(120, 21);
-        let config = SgbrtConfig {
-            n_trees: 15,
-            ..SgbrtConfig::default()
-        };
-        cm_par::set_max_threads(1);
-        let serial = cross_validate(config, &data, 3).unwrap();
-        cm_par::set_max_threads(0);
-        let parallel = cross_validate(config, &data, 3).unwrap();
-        assert_eq!(serial, parallel);
+    /// Held-out relative error (Eq. 14) of each of `k` contiguous
+    /// folds, trained serially.
+    fn fold_errors(config: SgbrtConfig, data: &Dataset, k: usize) -> Vec<f64> {
+        let n = data.n_rows();
+        (0..k)
+            .map(|fold| {
+                let (lo, hi) = (fold * n / k, (fold + 1) * n / k);
+                let pick = |idx: Vec<usize>| {
+                    Dataset::new(
+                        idx.iter().map(|&i| data.row(i).to_vec()).collect(),
+                        idx.iter().map(|&i| data.target(i)).collect(),
+                    )
+                    .unwrap()
+                };
+                let train = pick((0..n).filter(|i| *i < lo || *i >= hi).collect());
+                let test = pick((lo..hi).collect());
+                let preds = config.fit(&train).unwrap().predict_batch(test.rows());
+                crate::metrics::relative_error(test.targets(), &preds).unwrap()
+            })
+            .collect()
     }
 
     /// Oracle: the histogram trainer's cross-validated error must track
@@ -854,7 +807,7 @@ mod tests {
                 trainer,
                 ..SgbrtConfig::default()
             };
-            let errs = cross_validate(cfg, &data, 4).unwrap();
+            let errs = fold_errors(cfg, &data, 4);
             errs.iter().sum::<f64>() / errs.len() as f64
         };
         let exact = cv_mean(Trainer::Exact);

@@ -22,8 +22,8 @@
 //!
 //! One tree fit runs on its calling thread: a node's histogram build
 //! and split scan are microseconds of work, too little to pay for a pool
-//! dispatch. Parallelism lives above the fit (cross-validation folds,
-//! interaction pairs). Every reduction is in fixed column-then-bin
+//! dispatch. Parallelism lives above the fit (binning, batch
+//! prediction, interaction pairs). Every reduction is in fixed column-then-bin
 //! order, so the grown tree is a pure function of its inputs.
 //!
 //! Two things keep the fit cheap:

@@ -46,5 +46,5 @@ mod tree;
 pub use binning::{BinnedDataset, BinnedView, MAX_BINS};
 pub use dataset::Dataset;
 pub use error::MlError;
-pub use gbrt::{cross_validate, FoldedForest, Refitter, Sgbrt, SgbrtConfig, Trainer};
+pub use gbrt::{FoldedForest, Refitter, Sgbrt, SgbrtConfig, Trainer};
 pub use tree::{RegressionTree, TreeConfig};

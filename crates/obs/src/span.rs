@@ -75,13 +75,6 @@ pub struct SpanHandle {
     path: Option<String>,
 }
 
-impl SpanHandle {
-    /// A handle that parents nothing — children become roots.
-    pub fn detached() -> Self {
-        SpanHandle { path: None }
-    }
-}
-
 /// Enters a span named `name` (used by the [`span!`](crate::span!)
 /// macro; the macro is the usual entry point because it also formats
 /// `key = value` fields and skips all work when collection is off).

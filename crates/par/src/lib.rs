@@ -1,8 +1,8 @@
 //! Deterministic parallel execution layer for the CounterMiner workspace.
 //!
-//! Every compute kernel of the pipeline — SGBRT batch prediction, k-fold
-//! cross-validation, the O(P²) interaction-pair fits, per-series
-//! cleaning, batch DTW — is embarrassingly parallel at some granularity,
+//! Every compute kernel of the pipeline — SGBRT batch prediction, the
+//! O(P²) interaction-pair sweeps, per-series cleaning, the PMU simulator's
+//! runs — is embarrassingly parallel at some granularity,
 //! but the results must stay **bit-identical at any thread count**: the
 //! paper's rankings are compared across runs, and a ranking that changes
 //! with the machine's core count is a reproducibility bug. This crate
@@ -26,8 +26,8 @@
 //! threads (spawning an OS thread per parallel region would dwarf short
 //! regions such as a batch prediction's row chunks). The calling thread
 //! always participates in its own region, so nested regions — e.g. a
-//! parallel cross-validation fold whose model bins its features and
-//! predicts in parallel — cannot deadlock even when every worker is busy.
+//! parallel work item whose model bins its features and predicts in
+//! parallel — cannot deadlock even when every worker is busy.
 //!
 //! # Thread-count control
 //!
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn nested_regions_complete() {
         // A region whose work items each open their own region — the
-        // shape cross-validation + batch prediction produces. Must not
+        // shape a parallel fit + batch prediction produces. Must not
         // deadlock even when the pool is saturated.
         let got = with_threads(4, || {
             map_range(8, |i| {

@@ -217,9 +217,11 @@ impl PmuConfig {
     ) -> SimRun {
         self.check();
         let mut rng = measurement_rng(source.program_name(), run_index, seed, 0x3C);
-        let n = truth.intervals;
         let ids: Vec<EventId> = events.iter().collect();
         let groups = ids.len().div_ceil(self.counters);
+        // An empty set has no group to rotate: no interval is sampled
+        // and the run records no series, as under OCOE.
+        let n = if groups == 0 { 0 } else { truth.intervals };
         let mut measured: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(n); ids.len()];
 
         // Recent-value history per event, driving adaptive scheduling.
@@ -513,6 +515,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Regression: an empty event set used to divide by zero groups in
+    /// the MLPX rotation. It records no series, as OCOE does.
+    #[test]
+    fn mlpx_of_an_empty_event_set_records_no_series() {
+        let (c, w) = setup();
+        let events = w.top_event_ids(&c, 0);
+        let pmu = PmuConfig::default();
+        let mlpx = pmu.simulate_mlpx(&w, &events, 0, 1);
+        let ocoe = pmu.simulate_ocoe(&w, &events, 0, 1);
+        assert_eq!(mlpx.record.event_count(), 0);
+        assert_eq!(mlpx.record.mode(), SampleMode::Mlpx);
+        assert_eq!(mlpx.intervals(), ocoe.intervals());
     }
 
     #[test]

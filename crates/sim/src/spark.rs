@@ -10,8 +10,8 @@
 //! and runtime) degrades quadratically away from the optimum.
 
 use crate::workload::fnv_extend;
-use crate::{ActivitySource, Benchmark, PmuConfig, SimRun, Workload};
-use cm_events::{EventCatalog, EventId, EventSet};
+use crate::{ActivitySource, Benchmark, Workload};
+use cm_events::{EventCatalog, EventId};
 use cm_par::rng::FNV1A_OFFSET;
 use cm_par::Rng;
 use std::collections::BTreeMap;
@@ -298,27 +298,6 @@ impl SparkStudy {
         let mut rng = Rng::new(seed ^ (u64::from(run_index) << 24) ^ config_hash(config));
         time * (1.0 + 0.02 * rng.range_f64(-1.0..1.0))
     }
-
-    /// Simulates one profiled run under a configuration: event activity
-    /// is scaled per [`SparkStudy::event_scale_factors`] and measured by
-    /// the PMU in MLPX mode.
-    pub fn simulate_run(
-        &self,
-        config: &SparkConfig,
-        events: &EventSet,
-        pmu: &PmuConfig,
-        run_index: u32,
-        seed: u64,
-    ) -> SimRun {
-        let scales = self.event_scale_factors(config);
-        let truth =
-            self.workload
-                .generate_run_with_scales(run_index, seed ^ config_hash(config), &scales);
-        let mut run = pmu.measure_mlpx(&self.workload, &truth, events, run_index, seed);
-        run.record
-            .set_exec_time_secs(self.exec_time(config, run_index, seed));
-        run
-    }
 }
 
 impl ActivitySource for SparkStudy {
@@ -430,21 +409,6 @@ mod tests {
         let get = |v: &Vec<(EventId, f64)>| v.iter().find(|(id, _)| *id == oro).unwrap().1;
         assert!((get(&at_opt) - 1.0).abs() < 1e-9);
         assert!(get(&far) > 1.5);
-    }
-
-    #[test]
-    fn simulate_run_produces_mlpx_record() {
-        let (c, s) = study();
-        let events = s.workload().top_event_ids(&c, 10);
-        let run = s.simulate_run(
-            &SparkConfig::default(),
-            &events,
-            &PmuConfig::default(),
-            0,
-            1,
-        );
-        assert_eq!(run.record.event_count(), 10);
-        assert!(run.record.exec_time_secs() > 0.0);
     }
 
     #[test]

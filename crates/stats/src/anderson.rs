@@ -110,46 +110,6 @@ pub fn normality_test(data: &[f64]) -> Result<AndersonDarling, StatsError> {
     })
 }
 
-/// Kolmogorov–Smirnov statistic of `data` against a fully specified
-/// distribution: the maximum absolute difference between the empirical
-/// CDF and the theoretical CDF.
-///
-/// A second goodness-of-fit lens next to [`a_squared`]: KS weights the
-/// distribution body, Anderson–Darling emphasizes the tails (which is
-/// why the paper uses the latter for long-tail classification).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] for an empty slice.
-///
-/// # Examples
-///
-/// ```
-/// use cm_stats::{anderson::ks_statistic, Normal};
-///
-/// let data: Vec<f64> = (1..=99).map(|i| i as f64 / 10.0).collect();
-/// let good = Normal::new(5.0, 2.9)?;
-/// let bad = Normal::new(20.0, 1.0)?;
-/// assert!(ks_statistic(&data, &good)? < ks_statistic(&data, &bad)?);
-/// # Ok::<(), cm_stats::StatsError>(())
-/// ```
-pub fn ks_statistic<D: Distribution>(data: &[f64], dist: &D) -> Result<f64, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    let mut x = data.to_vec();
-    x.sort_by(f64::total_cmp);
-    let n = x.len() as f64;
-    let mut d = 0.0f64;
-    for (i, &xi) in x.iter().enumerate() {
-        let f = dist.cdf(xi);
-        let ecdf_hi = (i + 1) as f64 / n;
-        let ecdf_lo = i as f64 / n;
-        d = d.max((f - ecdf_lo).abs()).max((ecdf_hi - f).abs());
-    }
-    Ok(d)
-}
-
 /// Long-tail candidate families compared when a sample fails the
 /// normality test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -244,18 +204,6 @@ mod tests {
         let good = a_squared(&data, &truth).unwrap();
         let bad = a_squared(&data, &wrong).unwrap();
         assert!(good < bad);
-    }
-
-    #[test]
-    fn ks_statistic_prefers_the_true_distribution() {
-        let truth = Normal::new(10.0, 2.0).unwrap();
-        let data = sample(&truth, 500, 7);
-        let wrong = Normal::new(14.0, 2.0).unwrap();
-        let d_true = ks_statistic(&data, &truth).unwrap();
-        let d_wrong = ks_statistic(&data, &wrong).unwrap();
-        assert!(d_true < 0.08, "KS of true dist {d_true}");
-        assert!(d_wrong > 3.0 * d_true);
-        assert!(ks_statistic(&[], &truth).is_err());
     }
 
     /// The two-evaluation A² the one-pass sum replaced, kept as its

@@ -5,10 +5,8 @@
 //! statistical kernel behind CounterMiner's cross-benchmark `cluster`
 //! analysis mode. It deliberately clusters around **medoids** — real
 //! runs, not synthetic centroids — because a medoid is something an
-//! engineer can open and inspect, and because medoids only need
-//! pairwise distances, which keeps the signature distance pluggable
-//! ([`SignatureDistance`]: plain Euclidean over per-event summary
-//! vectors, or banded DTW over whole series via the [`dtw`] kernels).
+//! engineer can open and inspect. Medoids only need pairwise distances:
+//! here, plain Euclidean distance between per-event summary vectors.
 //!
 //! # Determinism
 //!
@@ -23,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use cm_stats::cluster::{k_medoids, pairwise_distances, SignatureDistance};
+//! use cm_stats::cluster::{k_medoids, pairwise_distances};
 //!
 //! // Two tight groups in 2-D.
 //! let signatures = vec![
@@ -33,7 +31,7 @@
 //!     vec![5.0, 5.0],
 //!     vec![5.1, 5.0],
 //! ];
-//! let d = pairwise_distances(&signatures, SignatureDistance::Euclidean)?;
+//! let d = pairwise_distances(&signatures)?;
 //! let clustering = k_medoids(&d, 2, 7)?;
 //! assert_eq!(clustering.assignments[0], clustering.assignments[1]);
 //! assert_eq!(clustering.assignments[3], clustering.assignments[4]);
@@ -42,25 +40,8 @@
 //! # Ok::<(), cm_stats::StatsError>(())
 //! ```
 
-use crate::{dtw, StatsError};
+use crate::StatsError;
 use cm_par::Rng;
-
-/// How two counter signatures are compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignatureDistance {
-    /// Euclidean distance between equal-length summary vectors (the
-    /// default: one normalized summary statistic block per event).
-    Euclidean,
-    /// Banded dynamic time warping between whole series (lengths may
-    /// differ), normalized by the warping-path length so short and long
-    /// runs are comparable. `radius` is the Sakoe–Chiba band of
-    /// [`dtw::distance_banded`] (widened automatically when the length
-    /// gap exceeds it).
-    Dtw {
-        /// Sakoe–Chiba band radius, in samples.
-        radius: usize,
-    },
-}
 
 /// A symmetric pairwise distance matrix over `n` items.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,26 +100,19 @@ fn upper_pairs(n: usize) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Computes the pairwise [`DistanceMatrix`] of `signatures` under
-/// `metric`, parallelized over pairs via [`cm_par::map`] (pure
-/// per-entry work, so the matrix is bit-identical at any thread count).
-///
-/// Under [`SignatureDistance::Euclidean`] all signatures must share one
-/// length; under [`SignatureDistance::Dtw`] lengths may differ (each
-/// signature is a whole series) and each pair's distance is the banded
-/// DTW distance divided by the aligned length `max(|a|, |b|)`.
+/// Computes the pairwise Euclidean [`DistanceMatrix`] of `signatures`,
+/// which must all share one length, parallelized over pairs via
+/// [`cm_par::map`] (pure per-entry work, so the matrix is bit-identical
+/// at any thread count).
 ///
 /// # Errors
 ///
 /// Returns [`StatsError::EmptyInput`] when `signatures` is empty or any
-/// signature is, [`StatsError::MismatchedLengths`] for ragged Euclidean
+/// signature is, [`StatsError::MismatchedLengths`] for ragged
 /// signatures, and [`StatsError::InvalidParameter`] for non-finite
 /// values (NaN poisoning must surface, not propagate — see the
 /// NaN-rejecting order statistics in [`descriptive`](crate::descriptive)).
-pub fn pairwise_distances(
-    signatures: &[Vec<f64>],
-    metric: SignatureDistance,
-) -> Result<DistanceMatrix, StatsError> {
+pub fn pairwise_distances(signatures: &[Vec<f64>]) -> Result<DistanceMatrix, StatsError> {
     if signatures.is_empty() {
         return Err(StatsError::EmptyInput);
     }
@@ -149,7 +123,7 @@ pub fn pairwise_distances(
         if s.iter().any(|v| !v.is_finite()) {
             return Err(StatsError::InvalidParameter("signatures must be finite"));
         }
-        if metric == SignatureDistance::Euclidean && s.len() != signatures[0].len() {
+        if s.len() != signatures[0].len() {
             return Err(StatsError::MismatchedLengths {
                 left: signatures[0].len(),
                 right: s.len(),
@@ -164,20 +138,14 @@ pub fn pairwise_distances(
         });
     }
     let pairs = upper_pairs(n);
-    let upper: Vec<f64> = match metric {
-        SignatureDistance::Euclidean => cm_par::map(&pairs, |&(i, j)| {
-            signatures[i]
-                .iter()
-                .zip(&signatures[j])
-                .map(|(&a, &b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt()
-        }),
-        SignatureDistance::Dtw { radius } => cm_par::map(&pairs, |&(i, j)| {
-            let (a, b) = (&signatures[i], &signatures[j]);
-            dtw::distance_banded(a, b, radius) / a.len().max(b.len()) as f64
-        }),
-    };
+    let upper = cm_par::map(&pairs, |&(i, j)| {
+        signatures[i]
+            .iter()
+            .zip(&signatures[j])
+            .map(|(&a, &b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt()
+    });
     Ok(DistanceMatrix::from_upper(n, &upper))
 }
 
@@ -441,7 +409,7 @@ mod tests {
     #[test]
     fn recovers_planted_groups() {
         let (sigs, truth) = planted(8);
-        let d = pairwise_distances(&sigs, SignatureDistance::Euclidean).unwrap();
+        let d = pairwise_distances(&sigs).unwrap();
         let clustering = k_medoids(&d, 3, 1).unwrap();
         let ari = adjusted_rand_index(&clustering.assignments, &truth).unwrap();
         assert!((ari - 1.0).abs() < 1e-12, "ari {ari}");
@@ -453,7 +421,7 @@ mod tests {
         let (sigs, _) = planted(6);
         let run = |threads: usize, seed: u64| {
             cm_par::set_max_threads(threads);
-            let d = pairwise_distances(&sigs, SignatureDistance::Euclidean).unwrap();
+            let d = pairwise_distances(&sigs).unwrap();
             let c = k_medoids(&d, 3, seed).unwrap();
             cm_par::set_max_threads(0);
             (c, d)
@@ -471,7 +439,7 @@ mod tests {
     #[test]
     fn different_seeds_still_find_the_planted_optimum() {
         let (sigs, truth) = planted(5);
-        let d = pairwise_distances(&sigs, SignatureDistance::Euclidean).unwrap();
+        let d = pairwise_distances(&sigs).unwrap();
         for seed in 0..8 {
             let c = k_medoids(&d, 3, seed).unwrap();
             let ari = adjusted_rand_index(&c.assignments, &truth).unwrap();
@@ -480,42 +448,18 @@ mod tests {
     }
 
     #[test]
-    fn dtw_metric_handles_ragged_series() {
-        // Same waveform at different lengths vs a different waveform.
-        let wave =
-            |n: usize, f: f64| -> Vec<f64> { (0..n).map(|t| (t as f64 * f).sin()).collect() };
-        let sigs = vec![
-            wave(100, 0.3),
-            wave(110, 0.3),
-            wave(104, 1.7),
-            wave(96, 1.7),
-        ];
-        let d = pairwise_distances(&sigs, SignatureDistance::Dtw { radius: 16 }).unwrap();
-        let c = k_medoids(&d, 2, 3).unwrap();
-        assert_eq!(c.assignments[0], c.assignments[1]);
-        assert_eq!(c.assignments[2], c.assignments[3]);
-        assert_ne!(c.assignments[0], c.assignments[2]);
-    }
-
-    #[test]
     fn validates_inputs() {
-        assert_eq!(
-            pairwise_distances(&[], SignatureDistance::Euclidean),
-            Err(StatsError::EmptyInput)
-        );
-        assert_eq!(
-            pairwise_distances(&[vec![]], SignatureDistance::Euclidean),
-            Err(StatsError::EmptyInput)
-        );
+        assert_eq!(pairwise_distances(&[]), Err(StatsError::EmptyInput));
+        assert_eq!(pairwise_distances(&[vec![]]), Err(StatsError::EmptyInput));
         assert!(matches!(
-            pairwise_distances(&[vec![1.0], vec![1.0, 2.0]], SignatureDistance::Euclidean),
+            pairwise_distances(&[vec![1.0], vec![1.0, 2.0]]),
             Err(StatsError::MismatchedLengths { .. })
         ));
         assert_eq!(
-            pairwise_distances(&[vec![1.0], vec![f64::NAN]], SignatureDistance::Euclidean),
+            pairwise_distances(&[vec![1.0], vec![f64::NAN]]),
             Err(StatsError::InvalidParameter("signatures must be finite"))
         );
-        let d = pairwise_distances(&[vec![0.0], vec![1.0]], SignatureDistance::Euclidean).unwrap();
+        let d = pairwise_distances(&[vec![0.0], vec![1.0]]).unwrap();
         assert!(k_medoids(&d, 0, 0).is_err());
         assert!(matches!(
             k_medoids(&d, 3, 0),
@@ -529,7 +473,7 @@ mod tests {
     #[test]
     fn k_equals_n_is_all_singletons() {
         let (sigs, _) = planted(2);
-        let d = pairwise_distances(&sigs, SignatureDistance::Euclidean).unwrap();
+        let d = pairwise_distances(&sigs).unwrap();
         let c = k_medoids(&d, sigs.len(), 5).unwrap();
         let mut seen: Vec<usize> = c.assignments.clone();
         seen.sort_unstable();
@@ -541,7 +485,7 @@ mod tests {
 
     #[test]
     fn single_item_matrix_works() {
-        let d = pairwise_distances(&[vec![1.0, 2.0]], SignatureDistance::Euclidean).unwrap();
+        let d = pairwise_distances(&[vec![1.0, 2.0]]).unwrap();
         assert_eq!(d.len(), 1);
         let c = k_medoids(&d, 1, 0).unwrap();
         assert_eq!(c.assignments, vec![0]);
@@ -562,7 +506,7 @@ mod tests {
     #[test]
     fn medoid_distances_are_zero_at_medoids() {
         let (sigs, _) = planted(4);
-        let d = pairwise_distances(&sigs, SignatureDistance::Euclidean).unwrap();
+        let d = pairwise_distances(&sigs).unwrap();
         let c = k_medoids(&d, 3, 2).unwrap();
         let md = c.medoid_distances(&d);
         for &m in &c.medoids {

@@ -1,4 +1,4 @@
-//! Descriptive statistics and the paper's histogram-interval rule (Eq. 7).
+//! Descriptive statistics.
 
 use crate::StatsError;
 
@@ -136,35 +136,6 @@ pub fn max(data: &[f64]) -> Result<f64, StatsError> {
         .copied()
         .reduce(f64::max)
         .ok_or(StatsError::EmptyInput)
-}
-
-/// Histogram interval length of Eq. 7:
-///
-/// ```text
-/// L = (max - min) / roundup(sqrt(count))
-/// ```
-///
-/// The paper replaces an outlier with the median of the histogram
-/// interval the outlier falls into; this is the interval width.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] for an empty slice.
-///
-/// # Examples
-///
-/// ```
-/// // 16 values spanning [0, 8] -> sqrt(16) = 4 intervals of width 2.
-/// let data: Vec<f64> = (0..16).map(|i| i as f64 * 8.0 / 15.0).collect();
-/// let len = cm_stats::descriptive::interval_length(&data)?;
-/// assert!((len - 2.0).abs() < 1e-12);
-/// # Ok::<(), cm_stats::StatsError>(())
-/// ```
-pub fn interval_length(data: &[f64]) -> Result<f64, StatsError> {
-    let lo = min(data)?;
-    let hi = max(data)?;
-    let bins = (data.len() as f64).sqrt().ceil();
-    Ok((hi - lo) / bins)
 }
 
 /// Equal-width histogram: returns `(bin_edges, counts)` with
@@ -307,7 +278,6 @@ mod tests {
         assert_eq!(median(&[]), Err(StatsError::EmptyInput));
         assert_eq!(min(&[]), Err(StatsError::EmptyInput));
         assert_eq!(max(&[]), Err(StatsError::EmptyInput));
-        assert_eq!(interval_length(&[]), Err(StatsError::EmptyInput));
         assert_eq!(fraction_within(&[], 1.0), Err(StatsError::EmptyInput));
     }
 
@@ -360,13 +330,6 @@ mod tests {
         assert_eq!(fraction_within(&data, 2.0).unwrap(), 0.5);
         assert_eq!(fraction_within(&data, 0.0).unwrap(), 0.0);
         assert_eq!(fraction_within(&data, 10.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn interval_length_rounds_bins_up() {
-        // 5 values -> sqrt(5) = 2.23 -> 3 bins.
-        let data = [0.0, 1.0, 2.0, 3.0, 6.0];
-        assert!((interval_length(&data).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

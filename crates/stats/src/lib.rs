@@ -4,7 +4,7 @@
 //! tools the paper takes from SciPy and scikit-learn; this crate
 //! implements them from scratch:
 //!
-//! * descriptive statistics and the histogram-interval rule of Eq. 7,
+//! * descriptive statistics,
 //! * continuous distributions — [`Normal`], [`Gev`], [`Gumbel`],
 //!   [`Logistic`] — with density, CDF, quantile, sampling, and fitting,
 //! * the [Anderson–Darling test](anderson) used to classify event value
@@ -20,7 +20,7 @@
 //! * [dynamic time warping](dtw) for comparing variable-length event
 //!   series (Eqs. 1–3),
 //! * [seeded k-medoids clustering](cluster) over counter signatures —
-//!   pluggable distances, silhouette scores, and the adjusted Rand
+//!   Euclidean distances, silhouette scores, and the adjusted Rand
 //!   index — behind the cross-benchmark `cluster` analysis mode.
 //!
 //! # Examples

@@ -6,8 +6,8 @@ use cm_events::{EventCatalog, EventId, RunRecord, SampleMode, TimeSeries};
 use cm_sim::{Benchmark, SimRun, Workload};
 use cm_store::{SeriesKey, Store};
 use counterminer::{
-    collector, model_and_rank, AnalysisReport, CleanTally, CleanedRuns, CleanerKind, DataCleaner,
-    MinerConfig, VarianceAggregate,
+    collector, model_and_rank, AnalysisReport, CleanTally, CleanedRuns, CleanerKind, CmError,
+    DataCleaner, MinerConfig, VarianceAggregate,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -222,6 +222,7 @@ impl StreamSession {
     ///
     /// # Errors
     ///
+    /// [`StreamError::Core`] when `events_to_measure` is `Some(0)`,
     /// [`StreamError::ConfigMismatch`] when the store's stream was
     /// recorded under a different configuration, and
     /// [`StreamError::Inconsistent`] when its metadata and series
@@ -233,6 +234,9 @@ impl StreamSession {
         config: StreamConfig,
     ) -> Result<Self, StreamError> {
         let _span = cm_obs::span!("stream.open", benchmark = benchmark.name());
+        if config.miner.events_to_measure == Some(0) {
+            return Err(CmError::Invalid("events_to_measure must be at least 1").into());
+        }
         let catalog = EventCatalog::haswell();
         let workload = Workload::new(benchmark, &catalog);
         let n_events = config
@@ -675,6 +679,21 @@ mod tests {
             },
             block: 32,
         }
+    }
+
+    /// Regression: a session measuring no event used to panic in the
+    /// MLPX rotation while collecting its source runs.
+    #[test]
+    fn measuring_no_event_is_rejected_at_open() {
+        let path = temp_store("zero");
+        let mut store = Store::open(&path).unwrap();
+        let mut config = tiny_stream_config();
+        config.miner.events_to_measure = Some(0);
+        let err = StreamSession::open(&mut store, Benchmark::Sort, config).unwrap_err();
+        assert!(
+            matches!(err, StreamError::Core(CmError::Invalid(_))),
+            "{err}"
+        );
     }
 
     #[test]
