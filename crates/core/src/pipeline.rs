@@ -162,11 +162,14 @@ impl CounterMiner {
         workload.top_event_ids(&self.catalog, n_events)
     }
 
-    /// Rejects a configuration whose collection would measure no event,
-    /// before anything is simulated.
+    /// Rejects a configuration whose collection would measure no event
+    /// or collect no run, before anything is simulated.
     pub(crate) fn check_collection(&self) -> Result<(), CmError> {
         if self.config.events_to_measure == Some(0) {
             return Err(CmError::Invalid("events_to_measure must be at least 1"));
+        }
+        if self.config.runs_per_benchmark == 0 {
+            return Err(CmError::Invalid("runs_per_benchmark must be at least 1"));
         }
         Ok(())
     }
@@ -214,7 +217,8 @@ impl CounterMiner {
     /// # Errors
     ///
     /// Returns [`CmError::Invalid`] when `events_to_measure` is
-    /// `Some(0)`; propagates failures from any stage.
+    /// `Some(0)` or `runs_per_benchmark` is 0; propagates failures from
+    /// any stage.
     pub fn analyze(&self, benchmark: Benchmark) -> Result<AnalysisReport, CmError> {
         self.check_collection()?;
         let _analyze = cm_obs::span!("analyze", benchmark = benchmark.name());
@@ -520,6 +524,43 @@ mod tests {
                 .unwrap_err(),
         );
         assert_eq!(store.run_ids().count(), 0);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: `runs_per_benchmark: 0` used to reach collection;
+    /// the store-backed paths committed a zero-run snapshot that their
+    /// own loader then rejected. Every entry point that collects
+    /// rejects it first and commits nothing.
+    #[test]
+    fn collecting_no_run_is_rejected_before_collection() {
+        let dir = std::env::temp_dir().join(format!("cm_pipe_no_runs_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut store = Store::open(dir.join("no_runs.cmstore")).unwrap();
+        let miner = CounterMiner::new(MinerConfig {
+            runs_per_benchmark: 0,
+            ..tiny_config()
+        });
+        let invalid = |e: CmError| assert!(matches!(e, CmError::Invalid(_)), "{e}");
+        invalid(miner.analyze(Benchmark::Sort).unwrap_err());
+        invalid(
+            miner
+                .analyze_with_store(Benchmark::Sort, &mut store)
+                .unwrap_err(),
+        );
+        invalid(miner.ingest(Benchmark::Sort, &mut store).unwrap_err());
+        let cfg = crate::ClusterConfig::default();
+        invalid(
+            miner
+                .analyze_cluster(&[Benchmark::Sort, Benchmark::Wordcount], &mut store, &cfg)
+                .unwrap_err(),
+        );
+        assert_eq!(store.run_ids().count(), 0);
+        assert_eq!(store.series_count(), 0);
+        for b in ["sort", "wordcount"] {
+            assert_eq!(store.meta(&format!("snapshot.{b}.runs")), None, "{b}");
+        }
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

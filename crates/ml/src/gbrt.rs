@@ -248,6 +248,11 @@ impl SgbrtConfig {
             }
             trees.push(fitted.to_tree(view));
         }
+        if cm_obs::enabled() {
+            let (columns, exact) = arena.scan_counts();
+            cm_obs::counter_add("ml.split.columns", columns);
+            cm_obs::counter_add("ml.split.exact_columns", exact);
+        }
 
         let model = Sgbrt::from_parts(base, self.learning_rate, trees, view.n_features());
         Ok((model, code_trees))

@@ -33,11 +33,16 @@
 //!   trees of one boosting run hands them out and takes them back, so
 //!   growing a node allocates nothing once the arena holds a tree's
 //!   working set (three histograms at depth 3).
-//! - **A lockstep split scan.** The scan of one column is one serial
+//! - **A two-stage split scan.** The exact scan of one column is one
 //!   chain per bin — running sum, two divisions, a compare against the
-//!   running best — and is bound by that chain's latency, not by its
-//!   arithmetic. [`HistWorkspace::best_split`] therefore scans four
-//!   columns at once, four independent chains the core overlaps.
+//!   running best — and its divisions bound it. [`HistWorkspace::best_split`]
+//!   first runs a division-free *bound pass* over every column, which
+//!   scores each cut as `(n·ls − l·T)² · w[l]` with `w[l] = 1/(l·(n − l))`
+//!   from a per-node table, and tracks each column's best score and
+//!   largest prefix sum. A written error bound then rules out every
+//!   column that cannot hold or tie the best improvement, and the exact
+//!   scan runs only on the columns left. Both stages walk four columns
+//!   at once, four independent chains the core overlaps.
 
 use crate::binning::{BinnedDataset, BinnedView, MAX_BINS};
 use crate::tree::{Node, RegressionTree, TreeConfig};
@@ -48,6 +53,17 @@ const LANES: usize = 4;
 
 /// Matches the exact trainer's minimum useful squared-error improvement.
 const MIN_IMPROVEMENT: f64 = 1e-12;
+
+/// The constant `c` of the bound pass's slack `δ_j = c·ε·n·G_j²`. The
+/// bound pass and the exact scan each stay within a small multiple of
+/// `ε·n·G_j²` of the real improvement (scaled by `n`); the written bound
+/// (DESIGN §13) sums to under 100, so 4096 leaves a wide margin.
+const BOUND_SLACK: f64 = 4096.0;
+
+/// The largest prefix sum or node total the bound pass trusts: with
+/// `|ls|, |T| ≤ 2^448` and `n < 2^32`, no product in either stage can
+/// overflow. A node beyond it keeps every column.
+const BOUND_LIMIT: f64 = f64::from_bits((1023 + 448) << 52); // 2^448
 
 /// A tree grown on binned codes, kept in code space: each split names an
 /// underlying [`BinnedDataset`] column and a bin cut, so the tree routes
@@ -192,6 +208,33 @@ impl Hist {
 #[derive(Default)]
 pub(crate) struct HistArena {
     free: Vec<Hist>,
+    /// The split scan's scratch and tallies. A scan reads the workspace
+    /// through `&self`, so the scratch sits behind a `RefCell`.
+    scan: std::cell::RefCell<ScanScratch>,
+}
+
+impl HistArena {
+    /// `(columns scanned, columns that reached the exact scan)` over
+    /// every split scan made with this arena.
+    pub(crate) fn scan_counts(&self) -> (u64, u64) {
+        let scan = self.scan.borrow();
+        (scan.columns, scan.exact_columns)
+    }
+}
+
+/// Buffers the split scan reuses from node to node, and its tallies.
+#[derive(Default)]
+struct ScanScratch {
+    /// `table[l] = (l·T, w)` for a left count `l`: `w = 1/(l·(n − l))`
+    /// when both sides hold at least `min_leaf` samples, else `-1`.
+    table: Vec<(f64, f64)>,
+    /// Per column: `A_j`, the best bound-pass score (at least 0), and
+    /// `δ_j`, its slack.
+    bounds: Vec<(f64, f64)>,
+    /// Columns that go to the exact scan, in ascending order.
+    kept: Vec<usize>,
+    columns: u64,
+    exact_columns: u64,
 }
 
 struct BestSplit {
@@ -322,10 +365,19 @@ impl<'a> HistWorkspace<'a> {
 
     /// Finds the best bin cut over all columns, or `None` when no cut
     /// satisfies the leaf-size constraint and improves the squared
-    /// error. Columns are scanned [`LANES`] at a time, the remainder one
-    /// at a time; the cross-column reduction prefers the lowest column
-    /// (and, within a column, the lowest cut) on exact ties, matching a
+    /// error. The cross-column reduction prefers the lowest column (and,
+    /// within a column, the lowest cut) on exact ties, matching a
     /// sequential column-major scan.
+    ///
+    /// Two stages: [`Self::bound_lanes`] scores every column without a
+    /// division, and the exact scan ([`Self::scan_lanes`]) runs only on
+    /// the columns whose score, widened by its error bound, still
+    /// reaches the best score narrowed by its own. A column left out
+    /// has an exact improvement strictly below some kept column's, so
+    /// it can neither win nor tie. A node whose total or prefix sums
+    /// are non-finite or beyond [`BOUND_LIMIT`] keeps every column.
+    /// Both stages walk [`LANES`] columns at a time, the remainder one
+    /// at a time.
     fn best_split(&self, hist: &Hist, n: usize, min_leaf: usize) -> Option<BestSplit> {
         if n < min_leaf.saturating_mul(2) {
             return None;
@@ -339,7 +391,27 @@ impl<'a> HistWorkspace<'a> {
         // Positions are u32, so `n` fits, and `min_leaf <= n / 2`.
         let (n, min_leaf) = (n as u32, min_leaf as u32);
         let n_cols = self.n_bins.len();
-        let grouped = n_cols - n_cols % LANES;
+        let mut guard = self.arena.scan.borrow_mut();
+        let scan = &mut *guard;
+        scan.columns += n_cols as u64;
+        scan.kept.clear();
+        if self.bound_pass(hist, total, n, min_leaf, scan) {
+            let floor = scan
+                .bounds
+                .iter()
+                .map(|&(a, delta)| a - delta)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let bounds = scan.bounds.iter().enumerate();
+            scan.kept.extend(
+                bounds
+                    .filter(|&(_, &(a, delta))| a + delta >= floor)
+                    .map(|(j, _)| j),
+            );
+        } else {
+            scan.kept.extend(0..n_cols);
+        }
+        scan.exact_columns += scan.kept.len() as u64;
+
         let mut best: Option<BestSplit> = None;
         let mut offer = |col: usize, cand: Option<(f64, u8)>| {
             if let Some((improvement, cut)) = cand {
@@ -352,39 +424,140 @@ impl<'a> HistWorkspace<'a> {
                 }
             }
         };
-        for first in (0..grouped).step_by(LANES) {
-            let cands = self.scan_lanes::<LANES>(hist, first, total, n, min_leaf);
-            for (k, cand) in cands.into_iter().enumerate() {
-                offer(first + k, cand);
+        let mut groups = scan.kept.chunks_exact(LANES);
+        for group in groups.by_ref() {
+            let cols: [usize; LANES] = group.try_into().expect("a LANES-wide chunk");
+            let cands = self.scan_lanes(hist, cols, total, n, min_leaf);
+            for (col, cand) in cols.into_iter().zip(cands) {
+                offer(col, cand);
             }
         }
-        for col in grouped..n_cols {
-            let [cand] = self.scan_lanes::<1>(hist, col, total, n, min_leaf);
+        for &col in groups.remainder() {
+            let [cand] = self.scan_lanes(hist, [col], total, n, min_leaf);
             offer(col, cand);
         }
         best
     }
 
-    /// Scans columns `first..first + L` in lockstep, returning each
-    /// column's best `(improvement, cut)` — its first strict maximum
-    /// above [`MIN_IMPROVEMENT`] — or `None`.
+    /// Stage 1 of [`Self::best_split`]: fills `scan.bounds` with every
+    /// column's `(A_j, δ_j)`, or returns `false` — keep every column —
+    /// when the total or a prefix sum is non-finite or beyond
+    /// [`BOUND_LIMIT`].
+    fn bound_pass(
+        &self,
+        hist: &Hist,
+        total: f64,
+        n: u32,
+        min_leaf: u32,
+        scan: &mut ScanScratch,
+    ) -> bool {
+        if total.is_nan() || total.abs() > BOUND_LIMIT {
+            return false;
+        }
+        scan.table.clear();
+        scan.table.extend((0..=n).map(|l| {
+            let w = if l >= min_leaf && n - l >= min_leaf {
+                1.0 / (f64::from(l) * f64::from(n - l))
+            } else {
+                -1.0
+            };
+            (f64::from(l) * total, w)
+        }));
+        // `δ_j = c·ε·n·max(G_j², MIN_POSITIVE)`: the floor covers the
+        // absolute error of products that underflow.
+        let slack = BOUND_SLACK * f64::EPSILON / 2.0 * f64::from(n);
+        let n_cols = self.n_bins.len();
+        let grouped = n_cols - n_cols % LANES;
+        scan.bounds.clear();
+        let mut finite = true;
+        let mut push = |(a, g): (f64, f64)| {
+            finite &= g <= BOUND_LIMIT;
+            let g = g.max(total.abs());
+            scan.bounds
+                .push((a, slack * (g * g).max(f64::MIN_POSITIVE)));
+        };
+        for first in (0..grouped).step_by(LANES) {
+            let cols: [usize; LANES] = std::array::from_fn(|k| first + k);
+            self.bound_lanes(hist, cols, n, &scan.table)
+                .into_iter()
+                .for_each(&mut push);
+        }
+        for col in grouped..n_cols {
+            let [bound] = self.bound_lanes(hist, [col], n, &scan.table);
+            push(bound);
+        }
+        finite
+    }
+
+    /// Scores the cuts of columns `cols` in lockstep without a division:
+    /// `q = (n·ls − l·T)² · w` with `(l·T, w) = table[l]`, which is `n`
+    /// times the exact scan's improvement for a cut that satisfies the
+    /// leaf size and `−(n·ls − l·T)² ≤ 0` for one that does not. The
+    /// prefix sums are the exact scan's additions in bin order, so `ls`
+    /// has the same bits. Returns per column the largest `q` (at least
+    /// 0) and the largest `|ls|` — `NaN` once a prefix sum is
+    /// non-finite. Unlike the exact scan a lane also adds its last
+    /// occupied bin, so every bin of the column is in the bound.
+    fn bound_lanes<const L: usize>(
+        &self,
+        hist: &Hist,
+        cols: [usize; L],
+        n: u32,
+        table: &[(f64, f64)],
+    ) -> [(f64, f64); L] {
+        let sums: [&[f64; MAX_BINS]; L] = cols.map(|j| hist.col_sums(j));
+        let cnts: [&[u32; MAX_BINS]; L] = cols.map(|j| hist.col_cnts(j));
+        let bins = cols.iter().map(|&j| self.n_bins[j]).max().unwrap_or(0);
+        let n = f64::from(n);
+        let mut left_sum = [0.0f64; L];
+        let mut left_n = [0u32; L];
+        let mut best = [0.0f64; L];
+        let mut largest = [0.0f64; L];
+        for b in 0..bins.min(MAX_BINS) {
+            for k in 0..L {
+                left_sum[k] += sums[k][b];
+                left_n[k] += cnts[k][b];
+                let (lt, w) = table[left_n[k] as usize];
+                let d = n * left_sum[k] - lt;
+                let q = d * d * w;
+                best[k] = if q > best[k] { q } else { best[k] };
+                let a = left_sum[k].abs();
+                largest[k] = if a > largest[k] { a } else { largest[k] };
+            }
+        }
+        // A non-finite sum stays non-finite under addition, so the
+        // final prefix sum is finite exactly when every one was.
+        std::array::from_fn(|k| {
+            let g = if left_sum[k].is_finite() {
+                largest[k]
+            } else {
+                f64::NAN
+            };
+            (best[k], g)
+        })
+    }
+
+    /// Scans columns `cols` in lockstep, returning each column's best
+    /// `(improvement, cut)` — its first strict maximum above
+    /// [`MIN_IMPROVEMENT`] — or `None`.
     ///
     /// Every lane does the one-column scan's arithmetic: additions in bin
     /// order, then `ls²/l + rs²/r − base` with `base = total²/n`. All
     /// lanes run to the group's longest column. The extra cuts of a
     /// shorter column come after its last occupied bin, where its left
-    /// count is already `n`, so `right_n = 0 < min_leaf` rejects them.
+    /// count is already `n`, so `right_n = 0 < min_leaf` rejects them;
+    /// a column's result does not depend on the columns beside it.
     fn scan_lanes<const L: usize>(
         &self,
         hist: &Hist,
-        first: usize,
+        cols: [usize; L],
         total: f64,
         n: u32,
         min_leaf: u32,
     ) -> [Option<(f64, u8)>; L] {
-        let sums: [&[f64; MAX_BINS]; L] = std::array::from_fn(|k| hist.col_sums(first + k));
-        let cnts: [&[u32; MAX_BINS]; L] = std::array::from_fn(|k| hist.col_cnts(first + k));
-        let bins = (first..first + L).map(|j| self.n_bins[j]).max();
+        let sums: [&[f64; MAX_BINS]; L] = cols.map(|j| hist.col_sums(j));
+        let cnts: [&[u32; MAX_BINS]; L] = cols.map(|j| hist.col_cnts(j));
+        let bins = cols.iter().map(|&j| self.n_bins[j]).max();
         // The last bin cannot be a left side: no cut above it.
         let cuts = bins.unwrap_or(0).saturating_sub(1).min(MAX_BINS - 1);
         let base = total * total / f64::from(n);
@@ -781,6 +954,196 @@ mod tests {
         assert!(found > 1000, "only {found} scans found a split");
         assert!(ties > 100, "only {ties} scans saw an exact tie");
         assert!(zero_count_sums > 0, "no count-0 bin kept a nonzero sum");
+    }
+
+    /// Whether the bound pass must keep every column of `hist`: the node
+    /// total, or a prefix sum of some column through its last occupied
+    /// bin, is non-finite or beyond [`BOUND_LIMIT`].
+    fn guard_keeps_all(ws: &HistWorkspace<'_>, hist: &Hist) -> bool {
+        let within = |x: f64| x.abs() <= BOUND_LIMIT;
+        let total: f64 = hist.col_sums(0).iter().take(ws.n_bins[0]).sum();
+        let prefixes_within = |j: usize| {
+            let mut left_sum = 0.0;
+            hist.col_sums(j)[..ws.n_bins[j]].iter().all(|&s| {
+                left_sum += s;
+                within(left_sum)
+            })
+        };
+        !(within(total) && (0..ws.n_bins.len()).all(prefixes_within))
+    }
+
+    /// A workspace holding only what a split scan reads: the columns'
+    /// occupied bin counts and the arena.
+    fn scan_workspace(n_bins: Vec<usize>, arena: &mut HistArena) -> HistWorkspace<'_> {
+        HistWorkspace {
+            codes: Vec::new(),
+            n_bins,
+            y: Vec::new(),
+            positions: Vec::new(),
+            goes_left: Vec::new(),
+            kept: Vec::new(),
+            arena,
+        }
+    }
+
+    /// The histogram of `rows` (row indices) with bin codes `codes[j][r]`
+    /// and gradients `y`, accumulated in row order.
+    fn crafted_hist(codes: &[Vec<usize>], y: &[f64], rows: &[usize]) -> Hist {
+        let mut hist = Hist {
+            sums: vec![0.0; codes.len() * MAX_BINS],
+            cnts: vec![0; codes.len() * MAX_BINS],
+        };
+        for (j, col) in codes.iter().enumerate() {
+            for &r in rows {
+                hist.sums[j * MAX_BINS + col[r]] += y[r];
+                hist.cnts[j * MAX_BINS + col[r]] += 1;
+            }
+        }
+        hist
+    }
+
+    /// Runs `cases` seeded histograms built to stress the bound pass's
+    /// keep rule through [`HistWorkspace::best_split`] and the
+    /// one-column reference, which must agree on `(col, cut,
+    /// improvement bits)`; the scan must keep every column exactly when
+    /// [`guard_keeps_all`] says so. The cases: copied columns with one
+    /// bin sum nudged by an ulp (near-ties across columns), a large
+    /// target offset (`T²/n` dwarfs every improvement), gradients near
+    /// 1e-160 and 1e150 and straddling [`BOUND_LIMIT`], `n == 2·min_leaf`,
+    /// non-finite gradients, and children derived by subtraction.
+    fn bound_pass_oracle(seed: u64, cases: usize) {
+        use cm_par::Rng;
+        let mut rng = Rng::new(seed);
+        let (mut scans, mut found, mut fallbacks, mut pruned) = (0, 0, 0, 0);
+        let (mut nudged_wins, mut ties) = (0, 0);
+        for case in 0..cases {
+            let kind = case % 7;
+            let n_cols = [1, 2, 3, 4, 5, 8, 9, 13, 61][rng.range_usize(0..9)];
+            let n_rows = rng.range_usize(2..300);
+            let cards: Vec<usize> = (0..n_cols)
+                .map(|_| [1, 2, 3, 7, 40, 256][rng.range_usize(0..6)])
+                .collect();
+            let mut codes: Vec<Vec<usize>> = cards
+                .iter()
+                .map(|&c| (0..n_rows).map(|_| rng.range_usize(0..c)).collect())
+                .collect();
+            // Copied columns: the copy's nudged bin keeps them near-tied.
+            let copies: Vec<bool> = (0..n_cols).map(|j| j > 0 && rng.chance(0.4)).collect();
+            let mut n_bins = cards.clone();
+            for j in 1..n_cols {
+                if copies[j] {
+                    codes[j] = codes[j - 1].clone();
+                    n_bins[j] = n_bins[j - 1];
+                }
+            }
+            let scale = match kind {
+                2 => 1e-160 * rng.range_f64(0.5..2.0),
+                3 => 1e150 * rng.range_f64(0.5..2.0),
+                // Around BOUND_LIMIT / n: some prefix sums land past it.
+                4 => BOUND_LIMIT / n_rows as f64 * rng.range_f64(0.5..4.0),
+                _ => 1.0,
+            };
+            let offset = if kind == 1 {
+                rng.range_f64(1e3..1e9)
+            } else {
+                0.0
+            };
+            let y: Vec<f64> = (0..n_rows)
+                .map(|_| {
+                    let g = match rng.range_usize(0..8) {
+                        0 => 0.0,
+                        1 => rng.range_usize(0..3) as f64 - 1.0,
+                        _ => rng.range_f64(-4.0..4.0),
+                    };
+                    if kind == 5 && rng.chance(0.05) {
+                        [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.range_usize(0..3)]
+                    } else {
+                        offset + g * scale
+                    }
+                })
+                .collect();
+            let all: Vec<usize> = (0..n_rows).collect();
+            let mut hists = vec![(crafted_hist(&codes, &y, &all), n_rows)];
+            // A child by subtraction: count-0 bins keep rounding residue.
+            if kind == 6 {
+                let left: Vec<usize> = all.iter().copied().filter(|_| rng.chance(0.5)).collect();
+                if !left.is_empty() && left.len() < n_rows {
+                    let lh = crafted_hist(&codes, &y, &left);
+                    let rh = crafted_hist(&codes, &y, &all).subtract(&lh);
+                    hists.push((lh, left.len()));
+                    hists.push((rh, n_rows - left.len()));
+                }
+            }
+            let mut arena = HistArena::default();
+            let ws = scan_workspace(n_bins.clone(), &mut arena);
+            for (mut hist, n) in hists {
+                // Nudge one occupied bin of each copy by one ulp.
+                for j in 1..n_cols {
+                    if !copies[j] || rng.chance(0.2) {
+                        continue;
+                    }
+                    let b = j * MAX_BINS + rng.range_usize(0..n_bins[j]);
+                    let bits = hist.sums[b].to_bits();
+                    let bits = if rng.chance(0.5) {
+                        bits + 1
+                    } else {
+                        bits.max(1) - 1
+                    };
+                    hist.sums[b] = f64::from_bits(bits);
+                }
+                let keeps_all = guard_keeps_all(&ws, &hist);
+                for min_leaf in [1, 2, 3, n / 2, n / 2 + 1, n] {
+                    let min_leaf = min_leaf.max(1);
+                    let (want, tied) = reference_best_split(&ws, &hist, n, min_leaf);
+                    let before = ws.arena.scan_counts();
+                    let got = ws
+                        .best_split(&hist, n, min_leaf)
+                        .map(|b| (b.col, b.cut, b.improvement.to_bits()));
+                    assert_eq!(got, want, "case {case}, n {n}, min_leaf {min_leaf}");
+                    let (columns, exact) = ws.arena.scan_counts();
+                    if columns == before.0 {
+                        assert!(n < 2 * min_leaf, "case {case}: no scan at n {n}");
+                        continue;
+                    }
+                    scans += 1;
+                    found += usize::from(want.is_some());
+                    ties += usize::from(tied);
+                    let total = hist.col_sums(0).iter().take(n_bins[0]).sum();
+                    let mut scratch = ScanScratch::default();
+                    let fallback =
+                        !ws.bound_pass(&hist, total, n as u32, min_leaf as u32, &mut scratch);
+                    assert_eq!(fallback, keeps_all, "case {case}, n {n}: fallback");
+                    fallbacks += usize::from(fallback);
+                    let exact = exact - before.1;
+                    if fallback {
+                        assert_eq!(exact, n_bins.len() as u64, "case {case}");
+                    }
+                    pruned += usize::from(exact < n_bins.len() as u64);
+                    nudged_wins += usize::from(want.is_some_and(|(j, ..)| copies[j]));
+                }
+            }
+        }
+        assert!(found * 3 > scans, "{found} of {scans} scans found a split");
+        assert!(fallbacks * 20 > scans, "{fallbacks} of {scans} fell back");
+        assert!(
+            pruned * 3 > scans,
+            "{pruned} of {scans} scans pruned a column"
+        );
+        assert!(nudged_wins > cases / 20, "{nudged_wins} nudged copies won");
+        assert!(ties > cases / 50, "{ties} scans saw an exact tie");
+    }
+
+    #[test]
+    fn bound_pass_matches_reference_on_adversarial_histograms() {
+        bound_pass_oracle(0xb0d5, 700);
+    }
+
+    /// The same oracle over 20 000 cases (run with `--ignored`, in
+    /// release mode).
+    #[test]
+    #[ignore = "a long sweep; run with --release -- --ignored"]
+    fn bound_pass_oracle_sweep() {
+        bound_pass_oracle(0x5eed_b0d5, 20_000);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! |---|---|---|
 //! | `collector.` / `pmu.` | run collection & the simulated PMU | `collector.runs`, `pmu.samples`, `pmu.group_switches` |
 //! | `cleaner.` | the data cleaner | `cleaner.series`, `cleaner.outliers_replaced`, `cleaner.missing_filled`, `cleaner.zeros_kept` |
-//! | `ml.` / `interaction.` | model training & pair ranking | `ml.trees_grown` (trees grown), `ml.trees_reused` (trees an EIR round took over from the round before), `interaction.pairs` |
+//! | `ml.` / `interaction.` | model training & pair ranking | `ml.trees_grown` (trees grown), `ml.trees_reused` (trees an EIR round took over from the round before), `ml.split.columns` (columns a split scan scored), `ml.split.exact_columns` (columns that reached the exact scan), `interaction.pairs` |
 //! | `pipeline.` | the pipeline facade | `pipeline.analyses`, `pipeline.resume.hits`, `pipeline.resume.misses` (persistent-store snapshot reuse) |
 //! | `store.` | the persistent columnar store | `store.commits`, `store.chunks_written`, `store.bytes_written`, `store.recovered_partial`, `store.cache.hits`, `store.cache.misses`, `store.cache.evictions` |
 //! | `store.decode.` | the store's chunk read path | `store.decode.chunks` (chunks checksummed + decoded), `store.decode.bytes` (payload bytes decoded), `store.decode.reads` (positioned file reads issued; batched reads coalesce many chunks per read) |

@@ -222,7 +222,8 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Core`] when `events_to_measure` is `Some(0)`,
+    /// [`StreamError::Core`] when `events_to_measure` is `Some(0)` or
+    /// `runs_per_benchmark` is 0,
     /// [`StreamError::ConfigMismatch`] when the store's stream was
     /// recorded under a different configuration, and
     /// [`StreamError::Inconsistent`] when its metadata and series
@@ -236,6 +237,9 @@ impl StreamSession {
         let _span = cm_obs::span!("stream.open", benchmark = benchmark.name());
         if config.miner.events_to_measure == Some(0) {
             return Err(CmError::Invalid("events_to_measure must be at least 1").into());
+        }
+        if config.miner.runs_per_benchmark == 0 {
+            return Err(CmError::Invalid("runs_per_benchmark must be at least 1").into());
         }
         let catalog = EventCatalog::haswell();
         let workload = Workload::new(benchmark, &catalog);
@@ -694,6 +698,22 @@ mod tests {
             matches!(err, StreamError::Core(CmError::Invalid(_))),
             "{err}"
         );
+    }
+
+    /// Regression: a session collecting no run used to panic indexing
+    /// its first source run.
+    #[test]
+    fn collecting_no_run_is_rejected_at_open() {
+        let path = temp_store("no_runs");
+        let mut store = Store::open(&path).unwrap();
+        let mut config = tiny_stream_config();
+        config.miner.runs_per_benchmark = 0;
+        let err = StreamSession::open(&mut store, Benchmark::Sort, config).unwrap_err();
+        assert!(
+            matches!(err, StreamError::Core(CmError::Invalid(_))),
+            "{err}"
+        );
+        assert_eq!(store.series_count(), 0);
     }
 
     #[test]

@@ -110,6 +110,30 @@ fn count_valued_metrics_are_identical_across_thread_counts() {
     assert_eq!(serial_curve, parallel_curve);
 }
 
+/// The split scan's column tallies are plain counts of work done, so
+/// one and two threads read the same; the exact scan reaches only some
+/// of the columns the bound pass scores.
+#[test]
+fn split_scan_counters_are_identical_at_one_and_two_threads() {
+    let _guard = serialized();
+    cm_obs::set_mode(Mode::Summary);
+    let (one, _) = analyze_with_threads(1);
+    let (two, _) = analyze_with_threads(2);
+    cm_par::set_max_threads(0);
+    cm_obs::set_mode(Mode::Off);
+
+    let read = |snap: &Snapshot| {
+        let get = |name: &str| *snap.counters.get(name).unwrap_or(&0);
+        (get("ml.split.columns"), get("ml.split.exact_columns"))
+    };
+    assert_eq!(read(&one), read(&two));
+    let (columns, exact) = read(&one);
+    assert!(
+        0 < exact && exact < columns,
+        "{exact} of {columns} columns reached the exact scan"
+    );
+}
+
 #[test]
 fn json_report_carries_the_eir_curve() {
     let _guard = serialized();
